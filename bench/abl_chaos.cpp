@@ -62,18 +62,11 @@ double hist_pct_ms(const obs::Snapshot& snap, double pct) {
   return h != nullptr ? 1000.0 * h->percentile(pct) : 0.0;
 }
 
-obs::Snapshot driver_snapshot(chaos::Driver& driver, double sim_time) {
-  if (driver.sharded() != nullptr) {
-    return driver.sharded()->metrics_snapshot(sim_time);
-  }
-  return driver.swarm().registry().snapshot(sim_time);
-}
-
 Cell run_cell(bool quick, double intensity, std::uint64_t seed,
               std::size_t shards) {
   chaos::Driver driver(base_config(quick, intensity, seed, shards));
   const chaos::Report r = driver.run();
-  const obs::Snapshot snap = driver_snapshot(driver, r.sim_time);
+  const obs::Snapshot snap = driver.swarm().metrics_snapshot(r.sim_time);
   Cell cell;
   cell.p99_ms = hist_pct_ms(snap, 99.0);
   cell.p999_ms = hist_pct_ms(snap, 99.9);
@@ -123,7 +116,7 @@ int run_sharded_smoke(const bench::BenchArgs& args) {
             << " -> " << (ok ? "PASS" : "FAIL") << "\n";
   const int metrics_rc = bench::emit_metrics(
       args, "abl_chaos", cfg.seed,
-      driver.sharded()->metrics_snapshot(first.sim_time));
+      driver.swarm().metrics_snapshot(first.sim_time));
   return (ok && metrics_rc == 0) ? 0 : 1;
 }
 
@@ -131,8 +124,8 @@ int run_sharded_smoke(const bench::BenchArgs& args) {
 /// timeouts, hedged GETs, suspicion routing, peer-side shedding) over a
 /// crash/churn-only schedule. Wire faults stay off so the layer's own
 /// retransmit/hedge/shed decisions are the only source of extra traffic,
-/// and swim mode pins the pre-materialized timeline so the same schedule
-/// replays identically at any shard count.
+/// and swim mode leaves crash detection to the failure detector instead
+/// of the oracle announcement.
 chaos::ChaosConfig reliability_config(std::uint64_t seed,
                                       std::size_t shards) {
   chaos::ChaosConfig cfg = base_config(/*quick=*/true, 0.6, seed, shards);
@@ -300,8 +293,7 @@ int run_smoke(const bench::BenchArgs& args) {
             << " -> " << (ok ? "PASS" : "FAIL") << "\n";
   const int metrics_rc = bench::emit_metrics(
       args, "abl_chaos", clean_cfg.seed,
-      clean_driver.swarm().registry().snapshot(
-          clean_driver.swarm().engine().now()));
+      clean_driver.swarm().metrics_snapshot(clean.sim_time));
   return (ok && metrics_rc == 0) ? 0 : 1;
 }
 

@@ -17,7 +17,7 @@
 
 #include "bench_common.hpp"
 
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/stats.hpp"
 
 namespace {
@@ -41,9 +41,9 @@ double hist_pct_ms(const obs::Snapshot& snap, double pct) {
   return h != nullptr ? 1000.0 * h->percentile(pct) : 0.0;
 }
 
-proto::Swarm::Config cell_config(int m, int b, double drop,
-                                 std::uint64_t seed) {
-  proto::Swarm::Config cfg;
+proto::ShardedSwarm::Config cell_config(int m, int b, double drop,
+                                        std::uint64_t seed) {
+  proto::ShardedSwarm::Config cfg;
   cfg.m = m;
   cfg.b = b;
   cfg.nodes = util::space_size(m);
@@ -59,7 +59,7 @@ proto::Swarm::Config cell_config(int m, int b, double drop,
 /// Inserts the 32-file catalog and returns it; `rng` continues to drive
 /// the request mix afterwards.
 std::vector<std::pair<core::FileId, core::Pid>> build_catalog(
-    proto::Swarm& swarm, int m, util::Rng& rng) {
+    proto::ShardedSwarm& swarm, int m, util::Rng& rng) {
   std::vector<std::pair<core::FileId, core::Pid>> files;
   for (std::uint64_t i = 0; i < 32; ++i) {
     const core::FileId f{0x5EED0000ULL + i};
@@ -73,11 +73,11 @@ std::vector<std::pair<core::FileId, core::Pid>> build_catalog(
 }
 
 Cell run_cell(int m, int b, double drop, int requests, std::uint64_t seed) {
-  proto::Swarm swarm(cell_config(m, b, drop, seed));
+  proto::ShardedSwarm swarm(cell_config(m, b, drop, seed));
   util::Rng rng(seed ^ 0xF00DULL);
   const auto files = build_catalog(swarm, m, rng);
 
-  const std::int64_t msgs_before = swarm.network().messages_sent();
+  const std::int64_t msgs_before = swarm.messages_sent();
   for (int i = 0; i < requests; ++i) {
     const auto& [f, target] = files[rng.bounded(files.size())];
     const core::Pid at{
@@ -92,12 +92,11 @@ Cell run_cell(int m, int b, double drop, int requests, std::uint64_t seed) {
   cell.p50 = 1000.0 * util::percentile_sorted(lat, 50.0);
   cell.p99 = 1000.0 * util::percentile_sorted(lat, 99.0);
   cell.p999 = 1000.0 * util::percentile_sorted(lat, 99.9);
-  cell.msgs_per_get = static_cast<double>(swarm.network().messages_sent() -
-                                          msgs_before) /
-                      requests;
+  cell.msgs_per_get =
+      static_cast<double>(swarm.messages_sent() - msgs_before) / requests;
   cell.fault_pct = 100.0 * static_cast<double>(swarm.total_faults()) /
                    requests;
-  cell.snap = swarm.registry().snapshot(swarm.engine().now());
+  cell.snap = swarm.metrics_snapshot(swarm.engine(0).now());
   return cell;
 }
 
@@ -107,7 +106,7 @@ Cell run_cell(int m, int b, double drop, int requests, std::uint64_t seed) {
 int run_smoke(const bench::BenchArgs& args) {
   constexpr int kM = 6;
   constexpr int kRequests = 200;
-  proto::Swarm swarm(cell_config(kM, 0, /*drop=*/0.0, /*seed=*/42));
+  proto::ShardedSwarm swarm(cell_config(kM, 0, /*drop=*/0.0, /*seed=*/42));
   // Sample the registry through the run so the smoke's --metrics document
   // carries a time-series alongside the final totals.
   swarm.enable_metrics_sampling(/*interval=*/0.05, /*stop_at=*/2.0);
@@ -124,7 +123,7 @@ int run_smoke(const bench::BenchArgs& args) {
   for (std::uint32_t p = 0; p < util::space_size(kM); ++p) {
     served += swarm.peer(core::Pid{p}).served();
   }
-  const std::int64_t undeliverable = swarm.network().undeliverable();
+  const std::int64_t undeliverable = swarm.undeliverable();
   const std::int64_t faults = swarm.total_faults();
   const bool ok = served > 0 && undeliverable == 0 && faults == 0;
   std::cout << "wire smoke: requests=" << kRequests << " served=" << served
@@ -132,7 +131,7 @@ int run_smoke(const bench::BenchArgs& args) {
             << " -> " << (ok ? "PASS" : "FAIL") << "\n";
   const obs::TimeSeries& series = swarm.metrics_series();
   const int metrics_rc = bench::emit_metrics(
-      args, "abl_latency", 42, swarm.registry().snapshot(swarm.engine().now()),
+      args, "abl_latency", 42, swarm.metrics_snapshot(swarm.engine(0).now()),
       series.empty() ? nullptr : &series);
   return (ok && metrics_rc == 0) ? 0 : 1;
 }

@@ -15,10 +15,11 @@
 // across runs and machines. The returned Report carries the executed
 // schedule for the replay artifact.
 //
-// cfg.shards > 1 runs the same schedule shape against a ShardedSwarm
-// (run_sharded): membership ops and GET arrivals are pre-materialized
-// into a top-level timeline, applied between run_until() barriers, so no
-// control-plane mutation ever executes on a shard worker. Per-epoch
+// The swarm under test is a proto::ShardedSwarm with cfg.shards engine
+// shards (1 by default). Every chaos-stream draw happens at the top
+// level: membership ops and GET arrivals are pre-materialized into a
+// (time, seq)-ordered timeline, applied between run_until() barriers, so
+// no control-plane mutation ever executes on a shard worker. Per-epoch
 // plans are installed on every shard's network; workload completions are
 // tallied in per-shard cells (each written only by its shard's worker).
 #pragma once
@@ -32,7 +33,6 @@
 #include "lesslog/chaos/schedule.hpp"
 #include "lesslog/membership/swim.hpp"
 #include "lesslog/proto/sharded_swarm.hpp"
-#include "lesslog/proto/swarm.hpp"
 
 namespace lesslog::chaos {
 
@@ -69,41 +69,24 @@ class Driver {
   /// Runs the whole schedule; callable once.
   Report run();
 
-  /// The serial swarm under test (cfg.shards == 1 only).
-  [[nodiscard]] proto::Swarm& swarm() noexcept { return *swarm_; }
-  /// The sharded swarm under test; null when cfg.shards == 1.
-  [[nodiscard]] proto::ShardedSwarm* sharded() noexcept {
-    return sharded_.get();
-  }
+  /// The swarm under test.
+  [[nodiscard]] proto::ShardedSwarm& swarm() noexcept { return *swarm_; }
 
  private:
-  // -- serial path (cfg.shards == 1; byte-identical to the pre-sharding
-  // driver, which the replay gates pin) ---------------------------------
-  Report run_serial();
-  void insert_catalog();
-  void schedule_epoch_ops(int epoch, double now);
-  void schedule_workload(double now);
-  void issue_get();
-  [[nodiscard]] std::uint32_t random_live_pid();
-
-  // -- sharded path (cfg.shards > 1, and every SWIM run: swim mode pins
-  // the pre-materialized timeline so the chaos stream draws in the same
-  // order at any shard count) -------------------------------------------
-  Report run_sharded();
   void swim_setup();                ///< build + wire the SwimRuntime
   void swim_attach(core::Pid p);    ///< (re)attach a joiner's agent
   void swim_drain_confirms();       ///< barrier-only: fold confirm events
-  [[nodiscard]] std::uint32_t sharded_random_live_pid();
-  [[nodiscard]] double sharded_now() const;  ///< max over shard clocks
-  void sharded_issue_get();
-  [[nodiscard]] std::int64_t sharded_completed() const;
-  [[nodiscard]] std::int64_t sharded_faults() const;
-  void bank_sharded_injected();
-  [[nodiscard]] proto::FaultStats sharded_injected() const;
+  [[nodiscard]] std::uint32_t random_live_pid();
+  [[nodiscard]] double fleet_now() const;  ///< max over shard clocks
+  void issue_get();
+  [[nodiscard]] std::int64_t workload_completed() const;
+  [[nodiscard]] std::int64_t workload_faults() const;
+  /// Banked totals plus the installed injectors' stats.
+  [[nodiscard]] proto::FaultStats injected_so_far() const;
 
-  /// Workload completion tallies for the sharded run: cell s is written
-  /// only by shard s's worker (a GET's callback fires on the issuing
-  /// client's home shard), summed between settles.
+  /// Workload completion tallies: cell s is written only by shard s's
+  /// worker (a GET's callback fires on the issuing client's home shard),
+  /// summed between settles.
   struct ShardTally {
     std::int64_t completed = 0;
     std::int64_t faults = 0;
@@ -111,8 +94,7 @@ class Driver {
 
   ChaosConfig cfg_;
   util::Rng rng_;  ///< the chaos stream (schedule, op targets, workload)
-  std::unique_ptr<proto::Swarm> swarm_;
-  std::unique_ptr<proto::ShardedSwarm> sharded_;
+  std::unique_ptr<proto::ShardedSwarm> swarm_;
   std::unique_ptr<membership::SwimRuntime> swim_;  ///< cfg.swim only
   /// A crash awaiting detection: when it happened, and the earliest true
   /// confirm's latency seen so far (negative until one arrives). Folded
@@ -130,8 +112,6 @@ class Driver {
   ChaosRecord record_;
   proto::FaultStats prior_injected_;  ///< plans superseded by a reinstall
   std::int64_t issued_ = 0;
-  std::int64_t completed_ = 0;
-  std::int64_t faults_ = 0;
   std::uint32_t min_live_;  ///< membership ops keep this many peers up
   bool ran_ = false;
 };

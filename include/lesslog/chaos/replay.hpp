@@ -1,6 +1,6 @@
 // Replay artifacts: a violating chaos run serialized for exact re-runs.
 //
-// The artifact is a single JSON document ("lesslog.chaos" version 1)
+// The artifact is a single JSON document ("lesslog.chaos" version 2)
 // carrying the ChaosConfig (which, with its seed, fully determines the
 // run), the schedule as it executed, and the violations observed. To
 // replay, only the config is needed — replay() re-runs the driver from
@@ -15,6 +15,10 @@
 
 namespace lesslog::chaos {
 
+/// The artifact format this build writes and the only one it replays.
+/// Version 1 artifacts drew the single-shard schedule in another order.
+inline constexpr int kArtifactVersion = 2;
+
 /// Serializes a report (doubles at round-trip precision).
 [[nodiscard]] std::string artifact_to_json(const Report& report);
 
@@ -22,7 +26,8 @@ namespace lesslog::chaos {
 bool write_artifact(const std::string& path, const Report& report);
 
 /// Parses the config out of an artifact (the replayable core). Throws
-/// std::invalid_argument on malformed input.
+/// std::invalid_argument on malformed input, including a missing or
+/// unsupported "version" and any missing config key.
 [[nodiscard]] ChaosConfig config_from_artifact(const std::string& json);
 
 /// Re-runs the driver from the artifact's config.

@@ -116,6 +116,10 @@ class Network {
   /// Installs (or clears, with nullptr) the cross-shard forwarding hook.
   /// Installed by proto::ShardedSwarm on every shard network when S > 1.
   void set_forward(ForwardFn fn) { forward_ = std::move(fn); }
+  /// True when a forwarding hook is installed (never at S = 1).
+  [[nodiscard]] bool forwarding() const noexcept {
+    return static_cast<bool>(forward_);
+  }
 
   /// Schedules the arrival half of send() at absolute time `at`: the
   /// shard router's barrier-drain path hands over datagrams that crossed

@@ -1,12 +1,13 @@
-// Message tracing: records every datagram a Swarm's peers receive, with
+// Message tracing: records every datagram a network's peers receive, with
 // timestamps, as structured records — filterable, printable, and
 // JSONL-exportable. The protocol_trace example renders with it; tests use
 // it to assert exact message sequences.
 //
-// Trace is an obs::DeliverySink: it registers with the swarm's network
-// (the single delivery funnel), so peers that join after construction are
-// recorded automatically — there is nothing to re-arm and no handler
-// wrapping involved.
+// Trace is an obs::DeliverySink: it registers with one proto::Network (the
+// single delivery funnel of its peers), so peers that join after
+// construction are recorded automatically — there is nothing to re-arm
+// and no handler wrapping involved. A single-shard ShardedSwarm has one
+// network, `swarm.network(0)`, which sees every delivery.
 #pragma once
 
 #include <iosfwd>
@@ -14,7 +15,7 @@
 #include <vector>
 
 #include "lesslog/obs/sink.hpp"
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/network.hpp"
 
 namespace lesslog::proto {
 
@@ -25,10 +26,10 @@ struct TraceRecord {
 
 class Trace final : public obs::DeliverySink {
  public:
-  /// Starts recording every delivery in `swarm`. Destroy the Trace before
-  /// the Swarm (it unregisters itself from the swarm's sink list) —
-  /// declaring it after the Swarm in the same scope does exactly that.
-  explicit Trace(Swarm& swarm);
+  /// Starts recording every delivery on `network`. Destroy the Trace
+  /// before the network (it unregisters itself from the sink list) —
+  /// declaring it after the swarm that owns the network does exactly that.
+  explicit Trace(Network& network);
   ~Trace() override;
 
   Trace(const Trace&) = delete;
@@ -56,7 +57,7 @@ class Trace final : public obs::DeliverySink {
   void write_jsonl(std::ostream& out) const;
 
  private:
-  Swarm* swarm_;
+  Network* network_;
   std::vector<TraceRecord> records_;
 };
 

@@ -1,6 +1,5 @@
 #include "lesslog/chaos/audit.hpp"
 
-#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/bits.hpp"
 #include "lesslog/util/hashing.hpp"
 
@@ -15,8 +14,7 @@ void violate(std::vector<Violation>& out, int epoch, const char* check,
 
 }  // namespace
 
-template <typename AnySwarm>
-bool Audit::live_copy_exists(AnySwarm& swarm, core::FileId f) {
+bool Audit::live_copy_exists(proto::ShardedSwarm& swarm, core::FileId f) {
   const util::StatusWord& truth = swarm.status();
   for (std::uint32_t p = 0; p < truth.capacity(); ++p) {
     if (truth.is_live(p) && swarm.peer(core::Pid{p}).store().has(f)) {
@@ -26,16 +24,14 @@ bool Audit::live_copy_exists(AnySwarm& swarm, core::FileId f) {
   return false;
 }
 
-template <typename AnySwarm>
-void Audit::check(AnySwarm& swarm,
+void Audit::check(proto::ShardedSwarm& swarm,
                   const std::vector<std::uint64_t>& keys,
                   const proto::FaultStats& injected, std::int64_t issued,
                   std::int64_t completed, int epoch,
                   std::vector<Violation>& out) {
-  // 1. Counter reconciliation at quiescence (aggregate accessors: one
-  // network's counters, or the sum over shards — cross-shard datagrams
-  // are counted once on each side of the boundary, so the identity holds
-  // for any shard count).
+  // 1. Counter reconciliation at quiescence (aggregate accessors: the sum
+  // over shards — cross-shard datagrams are counted once on each side of
+  // the boundary, so the identity holds for any shard count).
   const std::int64_t in = swarm.messages_sent() + injected.duplicated;
   const std::int64_t terminal = swarm.delivered() + swarm.dropped() +
                                 swarm.undeliverable() + swarm.corrupted() +
@@ -158,18 +154,5 @@ void Audit::check_swim(const SwimEpochStats& stats, int epoch,
                 std::to_string(stats.false_suspects) + " on live nodes)");
   }
 }
-
-template bool Audit::live_copy_exists<proto::Swarm>(proto::Swarm&,
-                                                    core::FileId);
-template bool Audit::live_copy_exists<proto::ShardedSwarm>(
-    proto::ShardedSwarm&, core::FileId);
-template void Audit::check<proto::Swarm>(
-    proto::Swarm&, const std::vector<std::uint64_t>&,
-    const proto::FaultStats&, std::int64_t, std::int64_t, int,
-    std::vector<Violation>&);
-template void Audit::check<proto::ShardedSwarm>(
-    proto::ShardedSwarm&, const std::vector<std::uint64_t>&,
-    const proto::FaultStats&, std::int64_t, std::int64_t, int,
-    std::vector<Violation>&);
 
 }  // namespace lesslog::chaos

@@ -11,72 +11,41 @@ namespace lesslog::chaos {
 Driver::Driver(ChaosConfig cfg)
     : cfg_(cfg), rng_(cfg.seed ^ 0xC0A0'51ABULL) {
   cfg_.validate();
-  // SWIM mode always runs the sharded driver (even at shards == 1): the
-  // pre-materialized timeline draws the chaos stream in the same order
-  // for every shard count, which is what makes abl_membership's curves
-  // shard-count-invariant.
-  if (cfg_.shards > 1 || cfg_.swim) {
-    proto::ShardedSwarm::Config sc;
-    sc.m = cfg_.m;
-    sc.b = cfg_.b;
-    sc.nodes = cfg_.nodes;
-    sc.seed = cfg_.seed;
-    sc.shards = cfg_.shards;
-    // Ambient loss stays off for the same reason as the serial path;
-    // the default base_latency keeps every pairwise lookahead floor
-    // positive, so the windowed-parallel schedule always exists.
-    sc.net.drop_probability = 0.0;
-    sc.net.jitter = cfg_.net_jitter;
-    // SWIM runs spread each link's latency by a small deterministic
-    // per-pair stagger. abl_membership zeroes net_jitter (jitter draws
-    // come from per-shard RNG streams, which would make the trace depend
-    // on the layout); without *any* spread every delivery shares one
-    // constant latency, so a ping-req fan-out lands at its target as a
-    // timestamp tie whose resolution differs between the serial queue
-    // and a sharded mailbox drain. The stagger keeps arrival times on
-    // distinct links distinct, making delivery order a pure function of
-    // time — the last ingredient of shard-count invariance. It only ever
-    // *adds* latency, so the pairwise lookahead floor stays valid.
-    if (cfg_.swim) sc.net.link_stagger = 0.002;
-    sc.client.adaptive = cfg_.adaptive_timeouts;
-    sc.client.hedge_percentile = cfg_.hedge_percentile;
-    sc.client.suspicion_routing = cfg_.suspicion_routing;
-    sc.client.seed = cfg_.seed;  // inert unless the adaptive layer is on
-    sc.peer.busy_budget = cfg_.busy_budget;
-    sc.peer.busy_refill = cfg_.busy_refill;
-    sharded_ = std::make_unique<proto::ShardedSwarm>(sc);
-    tally_.resize(cfg_.shards);
-    if (cfg_.swim) swim_setup();
-    return;
-  }
-  proto::Swarm::Config sc;
+  proto::ShardedSwarm::Config sc;
   sc.m = cfg_.m;
   sc.b = cfg_.b;
   sc.nodes = cfg_.nodes;
   sc.seed = cfg_.seed;
+  sc.shards = cfg_.shards;
   // Ambient loss stays off: loss is expressed through windowed burst
-  // rules, so the repair phase after each heal runs on a clean wire.
+  // rules, so the repair phase after each heal runs on a clean wire. The
+  // default base_latency keeps every pairwise lookahead floor positive,
+  // so the windowed-parallel schedule always exists.
   sc.net.drop_probability = 0.0;
   sc.net.jitter = cfg_.net_jitter;
+  // SWIM runs spread each link's latency by a small deterministic
+  // per-pair stagger. abl_membership zeroes net_jitter (jitter draws
+  // come from per-shard RNG streams, which would make the trace depend
+  // on the layout); without *any* spread every delivery shares one
+  // constant latency, so a ping-req fan-out lands at its target as a
+  // timestamp tie whose resolution differs between a single queue and a
+  // sharded mailbox drain. The stagger keeps arrival times on distinct
+  // links distinct, making delivery order a pure function of time — the
+  // last ingredient of shard-count invariance. It only ever *adds*
+  // latency, so the pairwise lookahead floor stays valid.
+  if (cfg_.swim) sc.net.link_stagger = 0.002;
   sc.client.adaptive = cfg_.adaptive_timeouts;
   sc.client.hedge_percentile = cfg_.hedge_percentile;
   sc.client.suspicion_routing = cfg_.suspicion_routing;
   sc.client.seed = cfg_.seed;  // inert unless the adaptive layer is on
   sc.peer.busy_budget = cfg_.busy_budget;
   sc.peer.busy_refill = cfg_.busy_refill;
-  swarm_ = std::make_unique<proto::Swarm>(sc);
+  swarm_ = std::make_unique<proto::ShardedSwarm>(sc);
+  tally_.resize(cfg_.shards);
+  if (cfg_.swim) swim_setup();
 }
 
 Driver::~Driver() = default;
-
-Report Driver::run() {
-  assert(!ran_ && "a Driver runs its schedule once");
-  ran_ = true;
-  // Keep enough peers alive that every fault-tolerance subtree can stay
-  // populated (and the swarm never empties out under a hostile draw).
-  min_live_ = std::max<std::uint32_t>(4u, (1u << cfg_.b) + 1u);
-  return sharded_ != nullptr ? run_sharded() : run_serial();
-}
 
 void Driver::swim_setup() {
   membership::SwimConfig mc;
@@ -88,11 +57,11 @@ void Driver::swim_setup() {
   mc.seed = cfg_.seed;
   swim_ = std::make_unique<membership::SwimRuntime>(mc, cfg_.m);
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
-    sharded_->network(s).add_sink(*swim_);
+    swarm_->network(s).add_sink(*swim_);
   }
-  swim_->set_truth_provider([this] { return &sharded_->status(); });
+  swim_->set_truth_provider([this] { return &swarm_->status(); });
   for (std::uint32_t p = 0; p < util::space_size(cfg_.m); ++p) {
-    if (sharded_->status().is_live(p)) swim_attach(core::Pid{p});
+    if (swarm_->status().is_live(p)) swim_attach(core::Pid{p});
   }
 }
 
@@ -118,180 +87,16 @@ void Driver::swim_drain_confirms() {
 }
 
 void Driver::swim_attach(core::Pid p) {
-  const std::size_t s = sharded_->shard_of(p);
-  swim_->attach_peer(sharded_->peer(p), sharded_->engine(s),
-                     &sharded_->metrics(s));
+  const std::size_t s = swarm_->shard_of(p);
+  swim_->attach_peer(swarm_->peer(p), swarm_->engine(s),
+                     &swarm_->metrics(s));
 }
-
-// ---------------------------------------------------------------------------
-// Serial path. This is the original driver body, untouched: the replay
-// gates pin its byte-for-byte output at shards == 1.
-// ---------------------------------------------------------------------------
-
-std::uint32_t Driver::random_live_pid() {
-  const std::vector<std::uint32_t> live = swarm_->status().live_pids();
-  assert(!live.empty());
-  return live[rng_.bounded(live.size())];
-}
-
-void Driver::insert_catalog() {
-  for (int i = 0; i < cfg_.files; ++i) {
-    // Distinct deterministic keys; ψ spreads them over the ID space.
-    const std::uint64_t key =
-        (cfg_.seed << 20) + static_cast<std::uint64_t>(i) * 7919u + 1u;
-    keys_.push_back(key);
-    swarm_->insert_named(key, core::Pid{random_live_pid()});
-  }
-  swarm_->settle();
-}
-
-void Driver::issue_get() {
-  if (swarm_->status().live_count() == 0) return;
-  const core::Pid at{random_live_pid()};
-  const core::FileId f{keys_[rng_.bounded(keys_.size())]};
-  ++issued_;
-  swarm_->get(f, swarm_->peer(at).target_of(f), at,
-              [this](const proto::GetResult& res) {
-                ++completed_;
-                if (!res.ok) ++faults_;
-              });
-}
-
-void Driver::schedule_workload(double now) {
-  if (cfg_.get_rate <= 0.0) return;
-  swarm_->engine().poisson_process(cfg_.get_rate, now + cfg_.epoch_length,
-                                   [this] { issue_get(); });
-}
-
-void Driver::schedule_epoch_ops(int /*epoch*/, double now) {
-  const double L = cfg_.epoch_length;
-  sim::Engine& engine = swarm_->engine();
-  const int op_count = 1 + static_cast<int>(rng_.bounded(3));
-  for (int i = 0; i < op_count; ++i) {
-    const double t = now + (0.10 + 0.60 * rng_.uniform01()) * L;
-    // Which op runs is drawn now; which PID it hits is resolved at fire
-    // time from ground truth (both draws replay identically).
-    const std::uint64_t pick = rng_.bounded(4);
-    if (pick <= 1 && cfg_.crashes) {
-      engine.at(t, [this, t, L] {
-        if (swarm_->status().live_count() <= min_live_) return;
-        const core::Pid victim{random_live_pid()};
-        if (cfg_.silent_crashes) {
-          swarm_->crash_silent(victim);
-          record_.ops.push_back(
-              OpRecord{t, OpKind::kSilentCrash, victim.value()});
-          return;  // broken mode: the node never comes back
-        }
-        swarm_->crash(victim);
-        record_.ops.push_back(OpRecord{t, OpKind::kCrash, victim.value()});
-        const double back = t + (0.20 + 0.30 * rng_.uniform01()) * L;
-        swarm_->engine().at(back, [this, back, victim] {
-          if (swarm_->status().is_live(victim.value())) return;
-          swarm_->restart(victim);
-          record_.ops.push_back(
-              OpRecord{back, OpKind::kRestart, victim.value()});
-        });
-      });
-    } else if (pick == 2 && cfg_.churn) {
-      engine.at(t, [this, t] {
-        if (swarm_->status().live_count() <= min_live_) return;
-        const core::Pid leaver{random_live_pid()};
-        swarm_->depart(leaver);
-        record_.ops.push_back(OpRecord{t, OpKind::kDepart, leaver.value()});
-      });
-    } else if (pick == 3 && cfg_.churn) {
-      engine.at(t, [this, t] {
-        if (swarm_->status().dead_count() == 0) return;
-        const core::Pid joined = swarm_->join();
-        record_.ops.push_back(OpRecord{t, OpKind::kJoin, joined.value()});
-      });
-    }
-  }
-}
-
-Report Driver::run_serial() {
-  Report report;
-  report.config = cfg_;
-  insert_catalog();
-
-  for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
-    const double now = swarm_->engine().now();
-    const proto::FaultPlan plan =
-        make_epoch_plan(cfg_, rng_, epoch, now);
-    if (!plan.rules.empty()) {
-      // The previous injector (all windows closed, wire drained) is
-      // about to be replaced; bank its totals first.
-      if (const proto::FaultInjector* old =
-              swarm_->network().fault_injector()) {
-        const proto::FaultStats& s = old->stats();
-        prior_injected_.burst_dropped += s.burst_dropped;
-        prior_injected_.partition_dropped += s.partition_dropped;
-        prior_injected_.duplicated += s.duplicated;
-        prior_injected_.corrupted += s.corrupted;
-        prior_injected_.delay_spikes += s.delay_spikes;
-      }
-      swarm_->network().install_fault_plan(plan);
-      for (const proto::FaultRule& r : plan.rules) {
-        record_.rules.push_back(RuleRecord{epoch, r});
-      }
-    }
-    schedule_epoch_ops(epoch, now);
-    schedule_workload(now);
-
-    swarm_->engine().run_until(now + cfg_.epoch_length);
-    swarm_->settle();
-    if (!cfg_.silent_crashes) {
-      // Anti-entropy repair: converge every live peer's liveness view on
-      // the clean post-heal wire. Broken mode skips it — that is the
-      // broken part the auditor must catch.
-      swarm_->reannounce();
-      swarm_->settle();
-    }
-
-    proto::FaultStats injected = prior_injected_;
-    if (const proto::FaultInjector* inj =
-            swarm_->network().fault_injector()) {
-      const proto::FaultStats& s = inj->stats();
-      injected.burst_dropped += s.burst_dropped;
-      injected.partition_dropped += s.partition_dropped;
-      injected.duplicated += s.duplicated;
-      injected.corrupted += s.corrupted;
-      injected.delay_spikes += s.delay_spikes;
-    }
-    Audit::check(*swarm_, keys_, injected, issued_, completed_, epoch,
-                 report.violations);
-    report.injected = injected;
-  }
-
-  report.record = record_;
-  report.workload_issued = issued_;
-  report.workload_completed = completed_;
-  report.workload_faults = faults_;
-  report.messages_sent = swarm_->network().messages_sent();
-#if LESSLOG_METRICS_ENABLED
-  report.repair_pushes = static_cast<std::int64_t>(
-      swarm_->metrics().repair_pushes->value());
-#endif
-  report.reliability = swarm_->reliability_ledger();
-  report.sim_time = swarm_->engine().now();
-  return report;
-}
-
-// ---------------------------------------------------------------------------
-// Sharded path. Same schedule SHAPE, different determinism domain: every
-// chaos-stream draw happens at the top level (never inside a shard
-// worker), and the swarm advances between draws through run_until()
-// barriers. Membership ops and GET arrivals are pre-materialized into a
-// (time, seq)-ordered timeline per epoch; a crash's restart is pushed
-// into the same timeline when the crash fires, so it survives epoch
-// boundaries just like the serial engine.at() chain does.
-// ---------------------------------------------------------------------------
 
 namespace {
 
-/// One top-level action in the sharded run. Kinds other than kRestart
-/// resolve their target PID at apply time (mirroring the serial driver's
-/// fire-time resolution); a restart remembers its crash's victim.
+/// One top-level action of the run. Kinds other than kRestart resolve
+/// their target PID at apply time from ground truth; a restart remembers
+/// its crash's victim.
 struct TimelineItem {
   double t = 0.0;
   std::uint64_t seq = 0;  ///< push order: total tie-break at equal t
@@ -317,69 +122,55 @@ using Timeline = std::priority_queue<TimelineItem, std::vector<TimelineItem>,
 
 }  // namespace
 
-double Driver::sharded_now() const {
+double Driver::fleet_now() const {
   // Shard clocks agree after run_until(); settle() may leave them at
   // different quiescence points, so the fleet's "now" is the max — any
   // later top-level schedule point is in every shard's future.
   double now = 0.0;
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
-    now = std::max(now, sharded_->engine(s).now());
+    now = std::max(now, swarm_->engine(s).now());
   }
   return now;
 }
 
-std::uint32_t Driver::sharded_random_live_pid() {
-  const std::vector<std::uint32_t> live = sharded_->status().live_pids();
+std::uint32_t Driver::random_live_pid() {
+  const std::vector<std::uint32_t> live = swarm_->status().live_pids();
   assert(!live.empty());
   return live[rng_.bounded(live.size())];
 }
 
-void Driver::sharded_issue_get() {
-  if (sharded_->status().live_count() == 0) return;
-  const core::Pid at{sharded_random_live_pid()};
+void Driver::issue_get() {
+  if (swarm_->status().live_count() == 0) return;
+  const core::Pid at{random_live_pid()};
   const core::FileId f{keys_[rng_.bounded(keys_.size())]};
   ++issued_;
   // The callback fires on the issuing client's home shard, so cell
   // `shard_of(at)` has exactly one writer during the window.
-  ShardTally* cell = &tally_[sharded_->shard_of(at)];
-  sharded_->get(f, sharded_->peer(at).target_of(f), at,
-                [cell](const proto::GetResult& res) {
-                  ++cell->completed;
-                  if (!res.ok) ++cell->faults;
-                });
+  ShardTally* cell = &tally_[swarm_->shard_of(at)];
+  swarm_->get(f, swarm_->peer(at).target_of(f), at,
+              [cell](const proto::GetResult& res) {
+                ++cell->completed;
+                if (!res.ok) ++cell->faults;
+              });
 }
 
-std::int64_t Driver::sharded_completed() const {
+std::int64_t Driver::workload_completed() const {
   std::int64_t sum = 0;
   for (const ShardTally& cell : tally_) sum += cell.completed;
   return sum;
 }
 
-std::int64_t Driver::sharded_faults() const {
+std::int64_t Driver::workload_faults() const {
   std::int64_t sum = 0;
   for (const ShardTally& cell : tally_) sum += cell.faults;
   return sum;
 }
 
-void Driver::bank_sharded_injected() {
-  for (std::size_t s = 0; s < cfg_.shards; ++s) {
-    if (const proto::FaultInjector* old =
-            sharded_->network(s).fault_injector()) {
-      const proto::FaultStats& st = old->stats();
-      prior_injected_.burst_dropped += st.burst_dropped;
-      prior_injected_.partition_dropped += st.partition_dropped;
-      prior_injected_.duplicated += st.duplicated;
-      prior_injected_.corrupted += st.corrupted;
-      prior_injected_.delay_spikes += st.delay_spikes;
-    }
-  }
-}
-
-proto::FaultStats Driver::sharded_injected() const {
+proto::FaultStats Driver::injected_so_far() const {
   proto::FaultStats injected = prior_injected_;
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
     if (const proto::FaultInjector* inj =
-            sharded_->network(s).fault_injector()) {
+            swarm_->network(s).fault_injector()) {
       const proto::FaultStats& st = inj->stats();
       injected.burst_dropped += st.burst_dropped;
       injected.partition_dropped += st.partition_dropped;
@@ -391,16 +182,22 @@ proto::FaultStats Driver::sharded_injected() const {
   return injected;
 }
 
-Report Driver::run_sharded() {
-  proto::ShardedSwarm& sw = *sharded_;
+Report Driver::run() {
+  assert(!ran_ && "a Driver runs its schedule once");
+  ran_ = true;
+  // Keep enough peers alive that every fault-tolerance subtree can stay
+  // populated (and the swarm never empties out under a hostile draw).
+  min_live_ = std::max<std::uint32_t>(4u, (1u << cfg_.b) + 1u);
+  proto::ShardedSwarm& sw = *swarm_;
   Report report;
   report.config = cfg_;
 
   for (int i = 0; i < cfg_.files; ++i) {
+    // Distinct deterministic keys; ψ spreads them over the ID space.
     const std::uint64_t key =
         (cfg_.seed << 20) + static_cast<std::uint64_t>(i) * 7919u + 1u;
     keys_.push_back(key);
-    sw.insert_named(key, core::Pid{sharded_random_live_pid()});
+    sw.insert_named(key, core::Pid{random_live_pid()});
   }
   sw.settle();
 
@@ -409,17 +206,16 @@ Report Driver::run_sharded() {
   std::uint64_t seq = 0;
 
   for (int epoch = 0; epoch < cfg_.epochs; ++epoch) {
-    // Epoch anchor. Oracle mode keeps the clock-based anchor (pinned by
-    // the sharded replay gates). SWIM mode anchors on quiesce_time() —
-    // the last *executed* event — because settle() parks the shard
-    // clocks on the final window edge, which depends on the window
-    // sequence and hence the shard count; every op time, fault window
-    // and tick horizon derives from this anchor, so a layout-dependent
-    // anchor would skew the whole detection trace. Every scheduled
-    // offset below (>= 0.05 * L) dwarfs the clocks' sub-second edge
-    // overshoot, so anchoring slightly behind a clock is safe: the next
-    // run_until() realigns all clocks at the op time.
-    const double now = swim_ ? sharded_->quiesce_time() : sharded_now();
+    // Epoch anchor. Oracle mode anchors on the fleet clock. SWIM mode
+    // anchors on quiesce_time() — the last *executed* event — because
+    // settle() parks the shard clocks on the final window edge, which
+    // depends on the window sequence and hence the shard count; every op
+    // time, fault window and tick horizon derives from this anchor, so a
+    // layout-dependent anchor would skew the whole detection trace.
+    // Every scheduled offset below (>= 0.05 * L) dwarfs the clocks'
+    // sub-second edge overshoot, so anchoring slightly behind a clock is
+    // safe: the next run_until() realigns all clocks at the op time.
+    const double now = swim_ ? sw.quiesce_time() : fleet_now();
     const double epoch_end = now + L;
     // Per-epoch detector baselines (deltas feed the SWIM audit checks).
     const membership::SwimRuntime::Tally tally_base =
@@ -432,9 +228,9 @@ Report Driver::run_sharded() {
       // Every shard network runs the same plan: windows are wall-clock
       // intervals and partition groups are PID sets, so each side of a
       // cross-shard edge applies the same rule. Each shard's injector
-      // draws its own stream from the shared plan seed — banked and
-      // summed exactly like the serial single injector.
-      bank_sharded_injected();
+      // draws its own stream from the shared plan seed; the running
+      // totals are banked before the reinstall replaces the injectors.
+      prior_injected_ = injected_so_far();
       for (std::size_t s = 0; s < cfg_.shards; ++s) {
         sw.network(s).install_fault_plan(plan);
       }
@@ -443,8 +239,8 @@ Report Driver::run_sharded() {
       }
     }
 
-    // Pre-materialize this epoch's membership ops (same draw order as
-    // the serial scheduler: t then pick, per op, whether enabled or not).
+    // Pre-materialize this epoch's membership ops (draw order: t then
+    // pick, per op, whether the op's class is enabled or not).
     const int op_count = 1 + static_cast<int>(rng_.bounded(3));
     for (int i = 0; i < op_count; ++i) {
       const double t = now + (0.10 + 0.60 * rng_.uniform01()) * L;
@@ -457,9 +253,8 @@ Report Driver::run_sharded() {
         timeline.push({t, seq++, TimelineItem::Kind::kJoin, 0});
       }
     }
-    // Poisson GET arrivals, pre-drawn from the chaos stream (the serial
-    // driver uses the engine's rng here; the sharded domain has S engine
-    // streams, so arrivals come from the one top-level stream instead).
+    // Poisson GET arrivals, pre-drawn from the chaos stream (not an
+    // engine's: there are S engine streams, one top-level stream).
     if (cfg_.get_rate > 0.0) {
       double t = now + rng_.exponential(cfg_.get_rate);
       while (t < epoch_end) {
@@ -483,7 +278,7 @@ Report Driver::run_sharded() {
       switch (item.kind) {
         case TimelineItem::Kind::kCrash: {
           if (sw.status().live_count() <= min_live_) break;
-          const core::Pid victim{sharded_random_live_pid()};
+          const core::Pid victim{random_live_pid()};
           if (cfg_.silent_crashes) {
             sw.crash_silent(victim);
             record_.ops.push_back(
@@ -526,7 +321,7 @@ Report Driver::run_sharded() {
         }
         case TimelineItem::Kind::kDepart: {
           if (sw.status().live_count() <= min_live_) break;
-          const core::Pid leaver{sharded_random_live_pid()};
+          const core::Pid leaver{random_live_pid()};
           sw.depart(leaver);
           record_.ops.push_back(
               OpRecord{at, OpKind::kDepart, leaver.value()});
@@ -540,7 +335,7 @@ Report Driver::run_sharded() {
           break;
         }
         case TimelineItem::Kind::kGet:
-          sharded_issue_get();
+          issue_get();
           break;
       }
     }
@@ -556,7 +351,7 @@ Report Driver::run_sharded() {
       stats.round_cap = cfg_.swim_convergence_rounds;
       while (!swim_->converged(sw.status()) &&
              stats.rounds < stats.round_cap) {
-        const double t = sharded_->quiesce_time() + cfg_.swim_period;
+        const double t = sw.quiesce_time() + cfg_.swim_period;
         swim_->arm(t);
         sw.run_until(t);
         sw.settle();
@@ -620,17 +415,16 @@ Report Driver::run_sharded() {
       sw.settle();
     }
 
-    completed_ = sharded_completed();
-    const proto::FaultStats injected = sharded_injected();
-    Audit::check(sw, keys_, injected, issued_, completed_, epoch,
+    const proto::FaultStats injected = injected_so_far();
+    Audit::check(sw, keys_, injected, issued_, workload_completed(), epoch,
                  report.violations);
     report.injected = injected;
   }
 
   report.record = record_;
   report.workload_issued = issued_;
-  report.workload_completed = sharded_completed();
-  report.workload_faults = sharded_faults();
+  report.workload_completed = workload_completed();
+  report.workload_faults = workload_faults();
   report.messages_sent = sw.messages_sent();
 #if LESSLOG_METRICS_ENABLED
   for (std::size_t s = 0; s < cfg_.shards; ++s) {
@@ -639,7 +433,7 @@ Report Driver::run_sharded() {
   }
 #endif
   report.reliability = sw.reliability_ledger();
-  report.sim_time = swim_ ? sharded_->quiesce_time() : sharded_now();
+  report.sim_time = swim_ ? sw.quiesce_time() : fleet_now();
   if (swim_) {
     report.swim = swim_->tally();
     report.detection_latency = swim_detect_latency_;

@@ -57,7 +57,8 @@ void emit_rule(std::ostringstream& os, const RuleRecord& rec) {
 std::string artifact_to_json(const Report& report) {
   const ChaosConfig& c = report.config;
   std::ostringstream os;
-  os << "{\"schema\":\"lesslog.chaos\",\"version\":1,";
+  os << "{\"schema\":\"lesslog.chaos\",\"version\":" << kArtifactVersion
+     << ',';
   // seed as a string: JSON numbers are doubles and lose 64-bit integers.
   os << "\"config\":{\"m\":" << c.m << ",\"b\":" << c.b
      << ",\"nodes\":" << c.nodes << ",\"seed\":\"" << c.seed << "\""
@@ -180,6 +181,17 @@ ChaosConfig config_from_artifact(const std::string& json) {
   if (!schema.is_string() || schema.string != "lesslog.chaos") {
     throw std::invalid_argument("chaos artifact: wrong schema tag");
   }
+  // Version 1 artifacts came from a driver that drew the S = 1 schedule
+  // in a different order; replaying one here would silently run another
+  // schedule, so any version but the current one is refused.
+  const util::minijson::Value& version = require(*doc, "version");
+  if (!version.is_number() || version.number != kArtifactVersion) {
+    const std::string seen =
+        version.is_number() ? num(version.number) : "(not a number)";
+    throw std::invalid_argument("chaos artifact: unsupported version " +
+                                seen + " (this build replays version " +
+                                std::to_string(kArtifactVersion) + ")");
+  }
   const util::minijson::Value& cfg = require(*doc, "config");
   if (!cfg.is_object()) {
     throw std::invalid_argument("chaos artifact: config must be an object");
@@ -194,10 +206,7 @@ ChaosConfig config_from_artifact(const std::string& json) {
   out.fault_intensity = require(cfg, "fault_intensity").number;
   out.files = static_cast<int>(require(cfg, "files").number);
   out.get_rate = require(cfg, "get_rate").number;
-  // Absent in pre-sharding artifacts; those replay on the serial swarm.
-  if (const util::minijson::Value* shards = cfg.find("shards")) {
-    out.shards = static_cast<std::size_t>(shards->number);
-  }
+  out.shards = static_cast<std::size_t>(require(cfg, "shards").number);
   out.bursts = require(cfg, "bursts").boolean;
   out.partitions = require(cfg, "partitions").boolean;
   out.corruption = require(cfg, "corruption").boolean;
@@ -206,49 +215,22 @@ ChaosConfig config_from_artifact(const std::string& json) {
   out.crashes = require(cfg, "crashes").boolean;
   out.churn = require(cfg, "churn").boolean;
   out.silent_crashes = require(cfg, "silent_crashes").boolean;
-  // SWIM keys are absent in pre-membership artifacts; those replay in
-  // oracle mode with the default tunables.
-  if (const util::minijson::Value* v = cfg.find("swim")) {
-    out.swim = v->boolean;
-  }
-  if (const util::minijson::Value* v = cfg.find("swim_period")) {
-    out.swim_period = v->number;
-  }
-  if (const util::minijson::Value* v = cfg.find("swim_direct_timeout")) {
-    out.swim_direct_timeout = v->number;
-  }
-  if (const util::minijson::Value* v = cfg.find("swim_proxies")) {
-    out.swim_proxies = static_cast<int>(v->number);
-  }
-  if (const util::minijson::Value* v = cfg.find("swim_suspect_periods")) {
-    out.swim_suspect_periods = static_cast<int>(v->number);
-  }
-  if (const util::minijson::Value* v = cfg.find("swim_gossip_repeats")) {
-    out.swim_gossip_repeats = static_cast<int>(v->number);
-  }
-  if (const util::minijson::Value* v = cfg.find("swim_convergence_rounds")) {
-    out.swim_convergence_rounds = static_cast<int>(v->number);
-  }
-  if (const util::minijson::Value* v = cfg.find("net_jitter")) {
-    out.net_jitter = v->number;
-  }
-  // Reliability-layer keys are absent in pre-adaptive artifacts; those
-  // replay with the layer off (its byte-identical default).
-  if (const util::minijson::Value* v = cfg.find("adaptive_timeouts")) {
-    out.adaptive_timeouts = v->boolean;
-  }
-  if (const util::minijson::Value* v = cfg.find("hedge_percentile")) {
-    out.hedge_percentile = v->number;
-  }
-  if (const util::minijson::Value* v = cfg.find("suspicion_routing")) {
-    out.suspicion_routing = v->boolean;
-  }
-  if (const util::minijson::Value* v = cfg.find("busy_budget")) {
-    out.busy_budget = static_cast<int>(v->number);
-  }
-  if (const util::minijson::Value* v = cfg.find("busy_refill")) {
-    out.busy_refill = v->number;
-  }
+  out.swim = require(cfg, "swim").boolean;
+  out.swim_period = require(cfg, "swim_period").number;
+  out.swim_direct_timeout = require(cfg, "swim_direct_timeout").number;
+  out.swim_proxies = static_cast<int>(require(cfg, "swim_proxies").number);
+  out.swim_suspect_periods =
+      static_cast<int>(require(cfg, "swim_suspect_periods").number);
+  out.swim_gossip_repeats =
+      static_cast<int>(require(cfg, "swim_gossip_repeats").number);
+  out.swim_convergence_rounds =
+      static_cast<int>(require(cfg, "swim_convergence_rounds").number);
+  out.net_jitter = require(cfg, "net_jitter").number;
+  out.adaptive_timeouts = require(cfg, "adaptive_timeouts").boolean;
+  out.hedge_percentile = require(cfg, "hedge_percentile").number;
+  out.suspicion_routing = require(cfg, "suspicion_routing").boolean;
+  out.busy_budget = static_cast<int>(require(cfg, "busy_budget").number);
+  out.busy_refill = require(cfg, "busy_refill").number;
   out.validate();
   return out;
 }

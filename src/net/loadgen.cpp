@@ -55,12 +55,13 @@ void LoadGenConfig::validate() const {
   }
 }
 
+// util::percentile takes q in [0, 100].
 double LoadGenReport::p50() const {
-  return latencies.empty() ? 0.0 : util::percentile(latencies, 0.50);
+  return latencies.empty() ? 0.0 : util::percentile(latencies, 50.0);
 }
 
 double LoadGenReport::p99() const {
-  return latencies.empty() ? 0.0 : util::percentile(latencies, 0.99);
+  return latencies.empty() ? 0.0 : util::percentile(latencies, 99.0);
 }
 
 LoadGen::LoadGen(LoadGenConfig cfg)
@@ -150,7 +151,7 @@ LoadGenReport LoadGen::run() {
              cfg_.setup_timeout / 2.0);
 
   // --- Phase 1: place the catalog. One insert per (file, holder) pair,
-  // holders resolved exactly as Swarm::insert resolves them; failed
+  // holders resolved exactly as ShardedSwarm::insert resolves them; failed
   // inserts re-issue until the setup deadline.
   struct InsertTask {
     core::FileId file{0};

@@ -228,9 +228,7 @@ void ShardedSwarm::update(core::FileId file, core::Pid r,
 std::optional<core::Pid> ShardedSwarm::replicate(
     core::FileId file, core::Pid r, core::Pid overloaded,
     const core::HoldsCopyFn& holds) {
-  // Mirrors Swarm::replicate, with the holder's shard supplying both the
-  // randomness and the wire — so with S = 1 the draw sequence and the
-  // send are byte-identical to the serial helper.
+  // The holder's shard supplies both the randomness and the wire.
   Peer& at = peer(overloaded);
   const core::LookupTree tree(cfg_.m, r);
   util::Rng& rng = engines_.shard(shard_of(overloaded)).rng();
@@ -357,12 +355,10 @@ void ShardedSwarm::enable_auto_replication(double capacity, double window,
 void ShardedSwarm::auto_replication_tick(std::size_t s, double capacity,
                                          double window, double stop_at,
                                          double removal_threshold) {
-  // One shard's slice of the serial controller tick: runs on shard s's
-  // engine and touches only shard-local peers (their counters, stores,
-  // networks) plus the read-only ground-truth status word — so S ticks
-  // can run concurrently inside a window without a race. PID order
-  // within the shard matches the serial scan, making S = 1 identical to
-  // Swarm::auto_replication_tick.
+  // One shard's slice of the controller tick: runs on shard s's engine
+  // and touches only shard-local peers (their counters, stores, networks)
+  // plus the read-only ground-truth status word — so S ticks can run
+  // concurrently inside a window without a race.
   const auto budget = static_cast<std::int64_t>(capacity * window);
   const auto cold =
       static_cast<std::uint64_t>(removal_threshold * window);

@@ -6,9 +6,11 @@
 
 namespace lesslog::proto {
 
-Trace::Trace(Swarm& swarm) : swarm_(&swarm) { swarm_->add_sink(*this); }
+Trace::Trace(Network& network) : network_(&network) {
+  network_->add_sink(*this);
+}
 
-Trace::~Trace() { swarm_->remove_sink(*this); }
+Trace::~Trace() { network_->remove_sink(*this); }
 
 void Trace::on_deliver(double time, const Message& m) {
   records_.push_back(TraceRecord{time, m});

@@ -67,6 +67,32 @@ TEST(Replay, MalformedArtifactsAreRejected) {
   EXPECT_THROW(
       (void)config_from_artifact(R"({"schema":"wrong","config":{}})"),
       std::invalid_argument);
+
+  // A well-formed artifact of another format version: version 1 drew the
+  // single-shard schedule in another order, so it must not replay here.
+  Report report;
+  report.config = broken_config();
+  const std::string current = artifact_to_json(report);
+  ASSERT_NO_THROW((void)config_from_artifact(current));
+  const auto with = [&current](const std::string& from,
+                               const std::string& to) {
+    std::string out = current;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? out : out.replace(at, from.size(), to);
+  };
+  try {
+    (void)config_from_artifact(with("\"version\":2,", "\"version\":1,"));
+    FAIL() << "version 1 artifact accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("unsupported version 1"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)config_from_artifact(with("\"version\":2,", "")),
+               std::invalid_argument);
+  // The shard count is part of the schedule; it is required.
+  EXPECT_THROW((void)config_from_artifact(with("\"shards\":1,", "")),
+               std::invalid_argument);
 }
 
 TEST(Replay, ParseFailureMessageNamesTheSyntaxError) {

@@ -44,3 +44,9 @@ expect_rejection(unicode
 expect_rejection(truncated
   "{\"schema\":\"lesslog.chaos\","
   "at byte")
+
+# A well-formed artifact of an unsupported format version: refused by
+# name, never replayed as another schedule.
+expect_rejection(version1
+  "{\"schema\":\"lesslog.chaos\",\"version\":1,\"config\":{}}"
+  "unsupported version 1")

@@ -5,6 +5,9 @@
 // tree's VIDs one-to-one.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "lesslog/core/children_list.hpp"
 #include "lesslog/core/fault_tolerant.hpp"
 #include "lesslog/core/find_live_node.hpp"
@@ -13,24 +16,30 @@
 namespace lesslog::core {
 namespace {
 
+// gtest names each case by dumping the parameter's bytes, so the struct
+// must have no padding: padding bytes hold whatever was in memory (pointer
+// bits that change with every process) and the case names would too.
+// `root` and `dead` are 64-bit for that reason alone.
 struct IsoCase {
   int m;
   int b;
-  std::uint32_t root;
+  std::uint64_t root;
   std::uint64_t seed;
-  std::uint32_t dead;
+  std::uint64_t dead;
 };
+static_assert(std::has_unique_object_representations_v<IsoCase>);
 
 class SubtreeIsomorphism : public ::testing::TestWithParam<IsoCase> {
  protected:
   void SetUp() override {
     const auto [m, b, root, seed, dead] = GetParam();
-    tree_.emplace(m, Pid{root});
+    tree_.emplace(m, Pid{static_cast<std::uint32_t>(root)});
     view_.emplace(*tree_, b);
     live_.emplace(m, util::space_size(m));
     util::Rng rng(seed);
     for (const std::uint32_t d :
-         rng.sample_indices(util::space_size(m), dead)) {
+         rng.sample_indices(util::space_size(m),
+                            static_cast<std::uint32_t>(dead))) {
       live_->set_dead(d);
     }
   }

@@ -1,7 +1,8 @@
 // Cross-shard determinism: the sharded swarm is a pure function of
 // (seed, shard count). Three pinned properties:
-//   1. S = 1 is byte-identical to the serial proto::Swarm — same
-//      latencies, counters, and metric snapshot;
+//   1. S = 1 reproduces the single-engine deployment's golden pins —
+//      same latencies, counters, ledger, and metric snapshot — and
+//      installs no forward hook;
 //   2. repeated runs at the same S > 1 agree exactly, whatever the
 //      thread interleaving (run under the tsan preset too);
 //   3. with jitter = 0 and no drops the workload outcome is
@@ -11,8 +12,8 @@
 
 #include <vector>
 
+#include "golden_pin.hpp"
 #include "lesslog/proto/sharded_swarm.hpp"
-#include "lesslog/proto/swarm.hpp"
 
 namespace lesslog::proto {
 namespace {
@@ -36,10 +37,8 @@ ShardedSwarm::Config sharded_config(std::size_t shards, bool deterministic_net) 
 }
 
 /// The bench-style workload: build a catalog, settle, then a burst of
-/// GETs from scattered issuers. Swarm and ShardedSwarm expose the same
-/// data-plane API, so one template drives both.
-template <typename AnySwarm>
-void run_workload(AnySwarm& swarm) {
+/// GETs from scattered issuers.
+void run_workload(ShardedSwarm& swarm) {
   std::vector<core::FileId> files;
   files.reserve(kFiles);
   for (int i = 0; i < kFiles; ++i) {
@@ -90,27 +89,16 @@ Outcome outcome_of(ShardedSwarm& swarm) {
 }
 
 TEST(ShardedDeterminism, SingleShardMatchesSerialSwarmExactly) {
-  Swarm::Config serial_cfg;
-  serial_cfg.m = 8;
-  serial_cfg.b = 1;
-  serial_cfg.nodes = kNodes;
-  serial_cfg.seed = 7;
-  Swarm serial(serial_cfg);
-  run_workload(serial);
-
-  ShardedSwarm sharded(sharded_config(1, /*deterministic_net=*/false));
-  run_workload(sharded);
-
-  // Exact double equality: same seed, same RNG stream, same event order.
-  EXPECT_EQ(sharded.all_latencies(), serial.all_latencies());
-  EXPECT_EQ(sharded.total_faults(), serial.total_faults());
-  EXPECT_EQ(sharded.messages_sent(), serial.network().messages_sent());
-  EXPECT_EQ(sharded.delivered(), serial.network().delivered());
-  EXPECT_EQ(sharded.bytes_sent(), serial.network().bytes_sent());
-  const obs::Snapshot a = sharded.metrics_snapshot(1.0);
-  const obs::Snapshot b = serial.registry().snapshot(1.0);
-  EXPECT_EQ(a.counters, b.counters);
-  EXPECT_EQ(a.gauges, b.gauges);
+  ShardedSwarm swarm(sharded_config(1, /*deterministic_net=*/false));
+  golden::expect_no_forward_hook(swarm);
+  run_workload(swarm);
+  // Exact bit patterns: same seed, same RNG stream, same event order as
+  // the single-engine deployment these values were recorded from.
+  golden::expect_pin(golden::pin_of(swarm),
+                     {128u, 0xa2ec48f2a8c0ce22ULL,
+                      440, 18920, 440, 0, 0, 0,
+                      {128, 128, 0, 0, 0, 0, 0, 0, 0},
+                      0x2a347bd8b3097dc3ULL, 0x77abf7b53e46e4b2ULL});
 }
 
 TEST(ShardedDeterminism, RepeatedMultiShardRunsAgreeExactly) {
@@ -139,7 +127,7 @@ TEST(ShardedDeterminism, OutcomeIsShardCountIndependentWithoutJitter) {
 }
 
 TEST(ShardedDeterminism, CrashRecoveryMatchesSerialAtOneShard) {
-  const auto drive = [](auto& swarm) {
+  const auto drive = [](ShardedSwarm& swarm) {
     std::vector<core::FileId> files;
     for (int i = 0; i < kFiles; ++i) {
       files.push_back(swarm.insert_named(
@@ -162,23 +150,16 @@ TEST(ShardedDeterminism, CrashRecoveryMatchesSerialAtOneShard) {
     swarm.settle();
   };
 
-  Swarm::Config serial_cfg;
-  serial_cfg.m = 8;
-  serial_cfg.b = 1;
-  serial_cfg.nodes = kNodes;
-  serial_cfg.seed = 21;
-  Swarm serial(serial_cfg);
-  drive(serial);
-
   ShardedSwarm::Config cfg = sharded_config(1, /*deterministic_net=*/false);
   cfg.seed = 21;
-  ShardedSwarm sharded(cfg);
-  drive(sharded);
-
-  EXPECT_EQ(sharded.all_latencies(), serial.all_latencies());
-  EXPECT_EQ(sharded.total_faults(), serial.total_faults());
-  EXPECT_EQ(sharded.messages_sent(), serial.network().messages_sent());
-  EXPECT_EQ(sharded.undeliverable(), serial.network().undeliverable());
+  ShardedSwarm swarm(cfg);
+  golden::expect_no_forward_hook(swarm);
+  drive(swarm);
+  golden::expect_pin(golden::pin_of(swarm),
+                     {126u, 0xea122dc2624d4669ULL,
+                      656, 28208, 644, 12, 0, 0,
+                      {126, 126, 0, 0, 0, 0, 0, 0, 0},
+                      0x2a53022f8fa1f2dfULL, 0x77abf7b53e46e4b2ULL});
 }
 
 TEST(ShardedDeterminism, CrashRecoveryRepeatsExactlyAtTwoShards) {

@@ -1,31 +1,23 @@
-// Feature parity: ShardedSwarm carries the serial swarm's replicate()
-// helper, closed-loop auto-replication controller, and metrics sampling.
+// Feature parity: ShardedSwarm carries the replicate() helper, the
+// closed-loop auto-replication controller, and metrics sampling.
 // Pinned properties:
-//   1. at S = 1 each of the three is byte-identical to proto::Swarm
-//      (same RNG stream, same event order, same sampled series);
+//   1. at S = 1 each of the three reproduces the single-engine
+//      deployment's golden pins (same RNG stream, same event order, same
+//      sampled series);
 //   2. at S ∈ {2, 4, 8} a run with the controller and sampler enabled is
 //      bit-reproducible across repeated runs (fresh thread pools).
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "golden_pin.hpp"
 #include "lesslog/proto/sharded_swarm.hpp"
-#include "lesslog/proto/swarm.hpp"
 
 namespace lesslog::proto {
 namespace {
 
 constexpr int kM = 8;
 constexpr std::uint32_t kNodes = 64;
-
-Swarm::Config serial_cfg(std::uint64_t seed) {
-  Swarm::Config cfg;
-  cfg.m = kM;
-  cfg.b = 1;
-  cfg.nodes = kNodes;
-  cfg.seed = seed;
-  return cfg;
-}
 
 ShardedSwarm::Config sharded_cfg(std::uint64_t seed, std::size_t shards) {
   ShardedSwarm::Config cfg;
@@ -39,40 +31,41 @@ ShardedSwarm::Config sharded_cfg(std::uint64_t seed, std::size_t shards) {
 
 TEST(ShardedParity, ReplicateMatchesSerialAtOneShard) {
   // replicate() draws placement randomness from the overloaded holder's
-  // home engine; at S = 1 that is the serial engine's stream, so the
-  // chosen stand-in must match exactly, replica chain and all.
-  const auto drive = [](auto& swarm) {
-    std::vector<std::uint32_t> placed;
-    const core::FileId f = swarm.insert_named(0x507F11E, core::Pid{1});
-    const core::Pid target = swarm.peer(core::Pid{1}).target_of(f);
+  // home engine; at S = 1 that is the one engine's stream, so the chosen
+  // stand-ins are pinned exactly, replica chain and all.
+  ShardedSwarm swarm(sharded_cfg(13, 1));
+  golden::expect_no_forward_hook(swarm);
+  std::vector<std::uint32_t> placed;
+  const core::FileId f = swarm.insert_named(0x507F11E, core::Pid{1});
+  const core::Pid target = swarm.peer(core::Pid{1}).target_of(f);
+  swarm.settle();
+  std::vector<std::uint32_t> copies{target.value()};
+  for (int step = 0; step < 5; ++step) {
+    const auto r = swarm.replicate(
+        f, target, core::Pid{copies.back()}, [&copies](core::Pid p) {
+          for (const std::uint32_t c : copies) {
+            if (c == p.value()) return true;
+          }
+          return false;
+        });
     swarm.settle();
-    std::vector<std::uint32_t> copies{target.value()};
-    for (int step = 0; step < 5; ++step) {
-      const auto r = swarm.replicate(
-          f, target, core::Pid{copies.back()}, [&copies](core::Pid p) {
-            for (const std::uint32_t c : copies) {
-              if (c == p.value()) return true;
-            }
-            return false;
-          });
-      swarm.settle();
-      if (!r.has_value()) break;
-      copies.push_back(r->value());
-      placed.push_back(r->value());
-    }
-    return placed;
-  };
-
-  Swarm serial(serial_cfg(13));
-  ShardedSwarm sharded(sharded_cfg(13, 1));
-  EXPECT_EQ(drive(sharded), drive(serial));
+    if (!r.has_value()) break;
+    copies.push_back(r->value());
+    placed.push_back(r->value());
+  }
+  EXPECT_EQ(placed, (std::vector<std::uint32_t>{9u, 13u, 5u, 21u, 53u}));
+  golden::expect_pin(golden::pin_of(swarm),
+                     {0u, golden::kFnvBasis,
+                      9, 387, 9, 0, 0, 0,
+                      {0, 0, 0, 0, 0, 0, 0, 0, 0},
+                      0x365f3a257c6c7c8aULL, 0x77abf7b53e46e4b2ULL});
 }
 
-/// Saturates one ψ target with direct GETs, then lets the closed loop
-/// run three windows. Deterministic load (no engine-RNG draws), so the
-/// serial and S = 1 sharded controllers see identical served counters.
-template <typename AnySwarm>
-void drive_controller(AnySwarm& swarm) {
+TEST(ShardedParity, ControllerMatchesSerialAtOneShard) {
+  // Saturates one ψ target with direct GETs, then lets the closed loop
+  // run three windows. Deterministic load (no engine-RNG draws).
+  ShardedSwarm swarm(sharded_cfg(29, 1));
+  golden::expect_no_forward_hook(swarm);
   const core::FileId f = swarm.insert_named(0xB007, core::Pid{0});
   const core::Pid target = swarm.peer(core::Pid{0}).target_of(f);
   swarm.settle();
@@ -81,91 +74,55 @@ void drive_controller(AnySwarm& swarm) {
   }
   swarm.settle();
   swarm.enable_auto_replication(/*capacity=*/50.0, /*window=*/1.0,
-                                /*stop_at=*/swarm.engine_now() + 3.5);
-  swarm.run_to(swarm.engine_now() + 4.0);
+                                /*stop_at=*/swarm.engine(0).now() + 3.5);
+  swarm.run_until(swarm.engine(0).now() + 4.0);
   swarm.settle();
-}
 
-TEST(ShardedParity, ControllerMatchesSerialAtOneShard) {
-  struct SerialView {
-    Swarm swarm;
-    explicit SerialView(const Swarm::Config& cfg) : swarm(cfg) {}
-    // Adapters so drive_controller treats both swarms uniformly.
-    auto insert_named(std::uint64_t k, core::Pid p) {
-      return swarm.insert_named(k, p);
-    }
-    auto& peer(core::Pid p) { return swarm.peer(p); }
-    void settle() { swarm.settle(); }
-    void get(core::FileId f, core::Pid r, core::Pid at) {
-      swarm.get(f, r, at);
-    }
-    void enable_auto_replication(double c, double w, double s) {
-      swarm.enable_auto_replication(c, w, s);
-    }
-    [[nodiscard]] double engine_now() { return swarm.engine().now(); }
-    void run_to(double t) { swarm.engine().run_until(t); }
-  };
-  struct ShardedView {
-    ShardedSwarm swarm;
-    explicit ShardedView(ShardedSwarm::Config cfg)
-        : swarm(std::move(cfg)) {}
-    auto insert_named(std::uint64_t k, core::Pid p) {
-      return swarm.insert_named(k, p);
-    }
-    auto& peer(core::Pid p) { return swarm.peer(p); }
-    void settle() { swarm.settle(); }
-    void get(core::FileId f, core::Pid r, core::Pid at) {
-      swarm.get(f, r, at);
-    }
-    void enable_auto_replication(double c, double w, double s) {
-      swarm.enable_auto_replication(c, w, s);
-    }
-    [[nodiscard]] double engine_now() { return swarm.engine(0).now(); }
-    void run_to(double t) { swarm.run_until(t); }
-  };
-
-  SerialView serial(serial_cfg(29));
-  drive_controller(serial);
-  ShardedView sharded(sharded_cfg(29, 1));
-  drive_controller(sharded);
-
-  EXPECT_GT(serial.swarm.auto_replicas(), 0);
-  EXPECT_EQ(sharded.swarm.auto_replicas(), serial.swarm.auto_replicas());
-  EXPECT_EQ(sharded.swarm.auto_removals(), serial.swarm.auto_removals());
-  EXPECT_EQ(sharded.swarm.messages_sent(),
-            serial.swarm.network().messages_sent());
-  EXPECT_EQ(sharded.swarm.all_latencies(), serial.swarm.all_latencies());
+  EXPECT_EQ(swarm.auto_replicas(), 2);
+  EXPECT_EQ(swarm.auto_removals(), 0);
+  golden::expect_pin(golden::pin_of(swarm),
+                     {300u, 0x3cfbf7260f636035ULL,
+                      590, 25370, 590, 0, 0, 0,
+                      {300, 300, 0, 0, 0, 0, 0, 0, 0},
+                      0x5d496b40877cbfc7ULL, 0x77abf7b53e46e4b2ULL});
 }
 
 TEST(ShardedParity, SampledSeriesMatchesSerialAtOneShard) {
-  const auto workload = [](auto& swarm, double stop) {
-    const core::FileId f = swarm.insert_named(0x5A17, core::Pid{2});
-    const core::Pid target = swarm.peer(core::Pid{2}).target_of(f);
-    swarm.settle();
-    swarm.enable_metrics_sampling(/*interval=*/0.25, stop);
-    for (int i = 0; i < 64; ++i) {
-      swarm.get(f, target,
-                core::Pid{static_cast<std::uint32_t>(i * 5) % kNodes});
-    }
-    swarm.settle();
-  };
-
-  Swarm serial(serial_cfg(31));
-  workload(serial, 2.0);
-  const obs::TimeSeries& a = serial.metrics_series();
-
-  ShardedSwarm sharded(sharded_cfg(31, 1));
-  workload(sharded, 2.0);
-  const obs::TimeSeries& b = sharded.metrics_series();
-
-  ASSERT_EQ(a.size(), b.size());
-  ASSERT_GT(a.size(), 0u);
-  for (std::size_t k = 0; k < a.size(); ++k) {
-    EXPECT_EQ(a.samples[k].time, b.samples[k].time) << "sample " << k;
-    EXPECT_EQ(a.samples[k].counters, b.samples[k].counters)
-        << "sample " << k;
-    EXPECT_EQ(a.samples[k].gauges, b.samples[k].gauges) << "sample " << k;
+  ShardedSwarm swarm(sharded_cfg(31, 1));
+  golden::expect_no_forward_hook(swarm);
+  const core::FileId f = swarm.insert_named(0x5A17, core::Pid{2});
+  const core::Pid target = swarm.peer(core::Pid{2}).target_of(f);
+  swarm.settle();
+  swarm.enable_metrics_sampling(/*interval=*/0.25, /*stop_at=*/2.0);
+  for (int i = 0; i < 64; ++i) {
+    swarm.get(f, target,
+              core::Pid{static_cast<std::uint32_t>(i * 5) % kNodes});
   }
+  swarm.settle();
+
+  // Every sample's capture time, and (metrics builds) every sample's
+  // counters and gauges, chained in sample order.
+  const obs::TimeSeries& series = swarm.metrics_series();
+  std::vector<double> times;
+  std::uint64_t counters = golden::kFnvBasis;
+  std::uint64_t gauges = golden::kFnvBasis;
+  for (const obs::Snapshot& sample : series.samples) {
+    times.push_back(sample.time);
+    counters =
+        golden::fnv_u64(counters, golden::hash_counters(sample.counters));
+    gauges = golden::fnv_u64(gauges, golden::hash_gauges(sample.gauges));
+  }
+  EXPECT_EQ(series.size(), 7u);
+  EXPECT_EQ(golden::hash_doubles(times), 0x0fd42ae913bd2a5dULL);
+#if LESSLOG_METRICS_ENABLED
+  EXPECT_EQ(counters, 0x4d9b0b1af9e47694ULL);
+  EXPECT_EQ(gauges, 0x30e46edf25f9fb5fULL);
+#endif
+  golden::expect_pin(golden::pin_of(swarm),
+                     {64u, 0x7b35a761b7f5e9efULL,
+                      128, 5504, 128, 0, 0, 0,
+                      {64, 64, 0, 0, 0, 0, 0, 0, 0},
+                      0xbdb4237094026d4eULL, 0x7de97e1d7d3befa2ULL});
 }
 
 TEST(ShardedParity, ControllerAndSamplerRepeatExactlyAcrossShardCounts) {

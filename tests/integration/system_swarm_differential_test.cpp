@@ -1,5 +1,5 @@
 // Differential testing of the two protocol altitudes: the direct-call
-// core::System and the datagram-level proto::Swarm must agree on holder
+// core::System and the datagram-level proto::ShardedSwarm must agree on holder
 // placement, routing outcomes, and availability across identical operation
 // sequences (ψ-named files, lossless network).
 #include <gtest/gtest.h>
@@ -7,7 +7,7 @@
 #include <set>
 
 #include "lesslog/core/system.hpp"
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/hashing.hpp"
 #include "lesslog/util/rng.hpp"
 
@@ -33,14 +33,14 @@ TEST_P(SystemSwarmDifferential, IdenticalOperationSequencesConverge) {
   core::System sys({.m = m, .b = b, .seed = seed});
   sys.bootstrap(nodes);
 
-  proto::Swarm::Config scfg;
+  proto::ShardedSwarm::Config scfg;
   scfg.m = m;
   scfg.b = b;
   scfg.nodes = nodes;
   scfg.seed = seed;
   scfg.net.base_latency = 0.001;
   scfg.net.jitter = 0.0;
-  proto::Swarm swarm(scfg);
+  proto::ShardedSwarm swarm(scfg);
 
   std::vector<FileId> files;
   util::Rng rng(seed * 31 + 7);

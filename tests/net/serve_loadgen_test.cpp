@@ -88,6 +88,19 @@ TEST(ServeLoadGen, LoopbackRoundTripServesEveryGet) {
   EXPECT_EQ(lg.transport().stats().overflow_dropped, 0);
 }
 
+TEST(LoadGenReport, PercentilesUseThePercentScale) {
+  // 1..100 ms: linear interpolation between closest ranks puts p50 at
+  // 50.5 ms and p99 at 99.01 ms (not the 0.5th/0.99th percentiles).
+  LoadGenReport report;
+  for (int ms = 1; ms <= 100; ++ms) {
+    report.latencies.push_back(static_cast<double>(ms) / 1000.0);
+  }
+  EXPECT_NEAR(report.p50(), 0.0505, 1e-12);
+  EXPECT_NEAR(report.p99(), 0.09901, 1e-12);
+  EXPECT_EQ(LoadGenReport{}.p50(), 0.0);
+  EXPECT_EQ(LoadGenReport{}.p99(), 0.0);
+}
+
 TEST(ServeConfigValidation, RejectsNonsense) {
   ServeConfig cfg;
   cfg.hosts = ephemeral_map();

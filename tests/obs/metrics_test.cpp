@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/rng.hpp"
 
 namespace lesslog::obs {
@@ -160,8 +160,8 @@ TEST(SnapshotTest, MergeIsAssociativeOverRegistries) {
 }
 
 #if LESSLOG_METRICS_ENABLED
-proto::Swarm::Config small_swarm_config() {
-  proto::Swarm::Config cfg;
+proto::ShardedSwarm::Config small_swarm_config() {
+  proto::ShardedSwarm::Config cfg;
   cfg.m = 5;
   cfg.b = 0;
   cfg.nodes = util::space_size(5);
@@ -172,7 +172,7 @@ proto::Swarm::Config small_swarm_config() {
 }
 
 Snapshot run_and_snapshot() {
-  proto::Swarm swarm(small_swarm_config());
+  proto::ShardedSwarm swarm(small_swarm_config());
   util::Rng rng(7);
   std::vector<std::pair<core::FileId, core::Pid>> files;
   for (std::uint64_t i = 0; i < 8; ++i) {
@@ -189,7 +189,7 @@ Snapshot run_and_snapshot() {
     swarm.get(f, target, at);
   }
   swarm.settle();
-  return swarm.registry().snapshot(swarm.engine().now());
+  return swarm.metrics_snapshot(swarm.engine(0).now());
 }
 
 TEST(SnapshotTest, EqualSeedsProduceValueIdenticalSwarmSnapshots) {

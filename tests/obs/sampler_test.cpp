@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/minijson.hpp"
 #include "lesslog/util/rng.hpp"
 
@@ -92,14 +92,14 @@ TEST(TimeSeriesTest, WriteJsonEmitsAParsableSampleArray) {
 #if LESSLOG_METRICS_ENABLED
 TEST(SamplerTest, SwarmSamplingIsDeterministicAcrossRuns) {
   const auto run = [] {
-    proto::Swarm::Config cfg;
+    proto::ShardedSwarm::Config cfg;
     cfg.m = 5;
     cfg.b = 0;
     cfg.nodes = util::space_size(5);
     cfg.seed = 9;
     cfg.net.base_latency = 0.010;
     cfg.net.jitter = 0.005;
-    proto::Swarm swarm(cfg);
+    proto::ShardedSwarm swarm(cfg);
     swarm.enable_metrics_sampling(0.05, 1.0);
     const core::FileId f{0xABCULL};
     swarm.insert(f, core::Pid{5}, core::Pid{0});

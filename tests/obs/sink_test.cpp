@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "lesslog/proto/swarm.hpp"
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/proto/trace.hpp"
 #include "lesslog/util/rng.hpp"
 
@@ -41,8 +41,8 @@ struct RecordingSink final : DeliverySink {
   }
 };
 
-proto::Swarm::Config config(std::uint32_t nodes = 0) {
-  proto::Swarm::Config cfg;
+proto::ShardedSwarm::Config config(std::uint32_t nodes = 0) {
+  proto::ShardedSwarm::Config cfg;
   cfg.m = 5;
   cfg.b = 0;
   cfg.nodes = nodes == 0 ? util::space_size(5) : nodes;
@@ -52,7 +52,7 @@ proto::Swarm::Config config(std::uint32_t nodes = 0) {
   return cfg;
 }
 
-void drive(proto::Swarm& swarm, int requests, std::uint64_t seed) {
+void drive(proto::ShardedSwarm& swarm, int requests, std::uint64_t seed) {
   util::Rng rng(seed);
   const core::FileId f{0xFEEDULL};
   const core::Pid target{3};
@@ -67,11 +67,11 @@ void drive(proto::Swarm& swarm, int requests, std::uint64_t seed) {
 }
 
 TEST(DeliverySinkTest, EverySinkSeesEveryDeliveryInTheSameOrder) {
-  proto::Swarm swarm(config());
+  proto::ShardedSwarm swarm(config());
   RecordingSink first;
   RecordingSink second;
-  swarm.add_sink(first);
-  swarm.add_sink(second);
+  swarm.network(0).add_sink(first);
+  swarm.network(0).add_sink(second);
   drive(swarm, 20, 99);
 
   ASSERT_FALSE(first.deliveries.empty());
@@ -86,44 +86,44 @@ TEST(DeliverySinkTest, EverySinkSeesEveryDeliveryInTheSameOrder) {
   for (std::size_t i = 1; i < first.deliveries.size(); ++i) {
     EXPECT_LE(first.deliveries[i - 1].time, first.deliveries[i].time);
   }
-  swarm.remove_sink(first);
-  swarm.remove_sink(second);
+  swarm.network(0).remove_sink(first);
+  swarm.network(0).remove_sink(second);
 }
 
 TEST(DeliverySinkTest, RemovedSinkStopsRecording) {
-  proto::Swarm swarm(config());
+  proto::ShardedSwarm swarm(config());
   RecordingSink removed;
   RecordingSink kept;
-  swarm.add_sink(removed);
-  swarm.add_sink(kept);
+  swarm.network(0).add_sink(removed);
+  swarm.network(0).add_sink(kept);
   drive(swarm, 10, 5);
   const std::size_t before = removed.deliveries.size();
   ASSERT_GT(before, 0u);
 
-  swarm.remove_sink(removed);
+  swarm.network(0).remove_sink(removed);
   drive(swarm, 10, 6);
   EXPECT_EQ(removed.deliveries.size(), before);
   EXPECT_GT(kept.deliveries.size(), before);
-  swarm.remove_sink(kept);
+  swarm.network(0).remove_sink(kept);
 }
 
 TEST(DeliverySinkTest, AddingTheSameSinkTwiceRecordsOnce) {
-  proto::Swarm swarm(config());
+  proto::ShardedSwarm swarm(config());
   RecordingSink sink;
   RecordingSink reference;
-  swarm.add_sink(sink);
-  swarm.add_sink(sink);  // dedup: still registered once
-  swarm.add_sink(reference);
+  swarm.network(0).add_sink(sink);
+  swarm.network(0).add_sink(sink);  // dedup: still registered once
+  swarm.network(0).add_sink(reference);
   drive(swarm, 10, 21);
   EXPECT_EQ(sink.deliveries.size(), reference.deliveries.size());
-  swarm.remove_sink(sink);
-  swarm.remove_sink(reference);
+  swarm.network(0).remove_sink(sink);
+  swarm.network(0).remove_sink(reference);
 }
 
 TEST(DeliverySinkTest, PeerLifecycleEventsReachOnPeer) {
-  proto::Swarm swarm(config(/*nodes=*/24));
+  proto::ShardedSwarm swarm(config(/*nodes=*/24));
   RecordingSink sink;
-  swarm.add_sink(sink);
+  swarm.network(0).add_sink(sink);
 
   const core::Pid joined = swarm.join();
   swarm.settle();
@@ -136,14 +136,14 @@ TEST(DeliverySinkTest, PeerLifecycleEventsReachOnPeer) {
   ASSERT_EQ(sink.peer_events.size(), 2u);
   EXPECT_EQ(sink.peer_events[1].pid, joined.value());
   EXPECT_FALSE(sink.peer_events[1].live);
-  swarm.remove_sink(sink);
+  swarm.network(0).remove_sink(sink);
 }
 
 TEST(DeliverySinkTest, TraceAndRawSinkRecordIdenticalStreams) {
-  proto::Swarm swarm(config());
-  proto::Trace trace(swarm);
+  proto::ShardedSwarm swarm(config());
+  proto::Trace trace(swarm.network(0));
   RecordingSink sink;
-  swarm.add_sink(sink);
+  swarm.network(0).add_sink(sink);
   drive(swarm, 15, 77);
 
   ASSERT_EQ(trace.size(), sink.deliveries.size());
@@ -151,22 +151,22 @@ TEST(DeliverySinkTest, TraceAndRawSinkRecordIdenticalStreams) {
     EXPECT_EQ(trace.records()[i].time, sink.deliveries[i].time);
     EXPECT_EQ(trace.records()[i].message.type, sink.deliveries[i].type);
   }
-  swarm.remove_sink(sink);
+  swarm.network(0).remove_sink(sink);
 }
 
 TEST(DeliverySinkTest, JsonlSinkMatchesTraceWriteJsonl) {
-  proto::Swarm swarm(config());
-  proto::Trace trace(swarm);
+  proto::ShardedSwarm swarm(config());
+  proto::Trace trace(swarm.network(0));
   std::ostringstream streamed;
   JsonlSink jsonl(streamed);
-  swarm.add_sink(jsonl);
+  swarm.network(0).add_sink(jsonl);
   drive(swarm, 15, 31);
 
   std::ostringstream batched;
   trace.write_jsonl(batched);
   EXPECT_EQ(streamed.str(), batched.str());
   EXPECT_NE(streamed.str().find("\"type\":"), std::string::npos);
-  swarm.remove_sink(jsonl);
+  swarm.network(0).remove_sink(jsonl);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "lesslog/proto/sharded_swarm.hpp"
 #include "lesslog/util/hashing.hpp"
 
 namespace lesslog::proto {
@@ -13,8 +14,8 @@ namespace {
 using core::FileId;
 using core::Pid;
 
-Swarm::Config traced_cfg() {
-  Swarm::Config cfg;
+ShardedSwarm::Config traced_cfg() {
+  ShardedSwarm::Config cfg;
   cfg.m = 4;
   cfg.b = 0;
   cfg.nodes = 16;
@@ -24,8 +25,8 @@ Swarm::Config traced_cfg() {
 }
 
 TEST(Trace, RecordsThePaperGetSequence) {
-  Swarm swarm(traced_cfg());
-  Trace trace(swarm);
+  ShardedSwarm swarm(traced_cfg());
+  Trace trace(swarm.network(0));
 
   // Find a ψ-key targeting P(4) and fetch it from P(8): the canonical
   // P(8) -> P(0) -> P(4) walk must appear as GET records.
@@ -51,8 +52,8 @@ TEST(Trace, RecordsThePaperGetSequence) {
 }
 
 TEST(Trace, CountsBroadcastFanout) {
-  Swarm swarm(traced_cfg());
-  Trace trace(swarm);
+  ShardedSwarm swarm(traced_cfg());
+  Trace trace(swarm.network(0));
   swarm.depart(Pid{5});
   swarm.settle();
   // 15 surviving peers hear the status announcement.
@@ -60,8 +61,8 @@ TEST(Trace, CountsBroadcastFanout) {
 }
 
 TEST(Trace, RenderMentionsTypesAndNodes) {
-  Swarm swarm(traced_cfg());
-  Trace trace(swarm);
+  ShardedSwarm swarm(traced_cfg());
+  Trace trace(swarm.network(0));
   const FileId f = swarm.insert_named(0x77, Pid{3});
   swarm.settle();
   const std::string text = trace.render();
@@ -72,8 +73,8 @@ TEST(Trace, RenderMentionsTypesAndNodes) {
 }
 
 TEST(Trace, JsonlIsOneObjectPerRecord) {
-  Swarm swarm(traced_cfg());
-  Trace trace(swarm);
+  ShardedSwarm swarm(traced_cfg());
+  Trace trace(swarm.network(0));
   swarm.insert_named(0x88, Pid{1});
   swarm.settle();
   std::ostringstream out;
@@ -87,8 +88,8 @@ TEST(Trace, JsonlIsOneObjectPerRecord) {
 }
 
 TEST(Trace, ClearAndReuse) {
-  Swarm swarm(traced_cfg());
-  Trace trace(swarm);
+  ShardedSwarm swarm(traced_cfg());
+  Trace trace(swarm.network(0));
   swarm.insert_named(0x99, Pid{1});
   swarm.settle();
   EXPECT_GT(trace.size(), 0u);

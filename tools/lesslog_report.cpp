@@ -15,7 +15,6 @@
 
 #include "lesslog/baseline/policy.hpp"
 #include "lesslog/proto/sharded_swarm.hpp"
-#include "lesslog/proto/swarm.hpp"
 #include "lesslog/sim/catalog.hpp"
 #include "lesslog/sim/experiment.hpp"
 #include "lesslog/sim/metrics.hpp"
@@ -103,14 +102,15 @@ void claim(std::ostream& out, bool ok, const std::string& text) {
 void wire_observability_section(std::ostream& md, const Options& opt) {
   const int m = 6;
   const int requests = opt.quick ? 200 : 500;
-  proto::Swarm::Config cfg;
+  proto::ShardedSwarm::Config cfg;
   cfg.m = m;
   cfg.b = 0;
   cfg.nodes = util::space_size(m);
   cfg.seed = 42;
   cfg.net.base_latency = 0.010;
   cfg.net.jitter = 0.005;
-  proto::Swarm swarm(cfg);
+  proto::ShardedSwarm swarm(cfg);
+  sim::Engine& engine = swarm.engine(0);
 
   util::Rng rng(42ULL ^ 0xF00DULL);
   std::vector<std::pair<core::FileId, core::Pid>> files;
@@ -126,19 +126,19 @@ void wire_observability_section(std::ostream& md, const Options& opt) {
   // moving through the swarm, not a single burst.
   const double window = 1.0;
   swarm.enable_metrics_sampling(/*interval=*/0.1,
-                                swarm.engine().now() + window + 1.0);
+                                engine.now() + window + 1.0);
   for (int i = 0; i < requests; ++i) {
     const auto& [f, target] = files[rng.bounded(files.size())];
     const core::Pid at{
         static_cast<std::uint32_t>(rng.bounded(util::space_size(m)))};
     const double delay = window * static_cast<double>(i) / requests;
-    swarm.engine().after_fixed(delay, [&swarm, f = f, target = target, at] {
+    engine.after_fixed(delay, [&swarm, f = f, target = target, at] {
       swarm.get(f, target, at);
     });
   }
   swarm.settle();
 
-  const obs::Snapshot snap = swarm.registry().snapshot(swarm.engine().now());
+  const obs::Snapshot snap = swarm.metrics_snapshot(engine.now());
   md << "## Wire observability — sampled swarm run\n\n"
      << "One packet-level swarm (m = 6, " << requests
      << " GETFILE requests), registry sampled every 0.1 s of simulated "
