@@ -28,9 +28,6 @@ class ChordRing {
   explicit ChordRing(const util::LivenessView& view);
 
   [[nodiscard]] int width() const noexcept { return m_; }
-  [[nodiscard]] std::uint32_t node_count() const noexcept {
-    return static_cast<std::uint32_t>(nodes_.size());
-  }
 
   /// First live node at or clockwise after `id` (wrapping). The node
   /// responsible for key `id`.

@@ -83,7 +83,7 @@ class FileStore {
 
   /// Stores an original copy. Overwrites any existing replica entry (a node
   /// can be promoted from replica-holder to authoritative holder when
-  /// membership changes).
+  /// membership changes). A newer stored copy keeps its version and bytes.
   void put_inserted(FileId f, std::uint64_t version = 0,
                     std::vector<std::uint8_t> data = {});
 
@@ -102,9 +102,9 @@ class FileStore {
   /// Removes any copy of f. Returns true if one existed.
   bool erase(FileId f);
 
-  /// Applies an update: bump the stored version to `version` (and replace
-  /// the bytes, when provided) if a copy is present. Returns true if a
-  /// copy was present.
+  /// Applies an update: set the stored version to `version` (and replace
+  /// the bytes, when provided) unless the stored copy is newer. Returns
+  /// true if a copy was present.
   bool apply_update(FileId f, std::uint64_t version,
                     std::vector<std::uint8_t> data = {});
 

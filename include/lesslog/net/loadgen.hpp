@@ -2,13 +2,11 @@
 // socket transport, using the unmodified proto::Client reliability
 // stack (timeouts, retries, subtree migration).
 //
-// The loadgen embodies the host map's client entry: one PID that every
-// serving peer believes dead (so no file placement or forwarding ever
-// targets it) but that still receives replies, because peers answer a
-// GET straight to the requester PID with no liveness check. Locally it
-// runs a Peer (the reply funnel) + Client over an engine pumped against
-// the wall clock, exactly like ServeHost — the Client's retry timers
-// fire in wall time.
+// The loadgen embodies the host map's client entry: one PID every serving
+// peer believes dead, yet replies reach it (peers answer the requester
+// PID directly). Its Peer (the reply funnel), Client, wall-clock engine
+// and splice all come from net::Host (host.hpp), as for ServeHost.
+// LoadGen adds the client-role check, the two phases and its stats line.
 //
 // Two phases:
 //   1. Insert: `files` files are placed via kInsertRequest to each
@@ -20,19 +18,11 @@
 //      every latency sample plus exact p50/p99.
 #pragma once
 
-#include <chrono>
-#include <memory>
+#include <functional>
 #include <ostream>
 #include <vector>
 
-#include "lesslog/net/transport.hpp"
-#include "lesslog/obs/metrics.hpp"
-#include "lesslog/obs/wire_metrics.hpp"
-#include "lesslog/proto/client.hpp"
-#include "lesslog/proto/network.hpp"
-#include "lesslog/proto/peer.hpp"
-#include "lesslog/sim/engine.hpp"
-#include "lesslog/util/status_word.hpp"
+#include "lesslog/net/host.hpp"
 
 namespace lesslog::net {
 
@@ -76,42 +66,34 @@ class LoadGen {
   /// Installs the network splice, binds the listener, starts outgoing
   /// connects. Idempotent; run() calls it. Exposed so tests can bind on
   /// port 0, read the real port, and patch peers before traffic starts.
-  void start();
+  void start() { host_.start(); }
 
   /// Runs both phases to completion; returns the report.
   LoadGenReport run();
 
-  [[nodiscard]] Transport& transport() noexcept { return *transport_; }
-  [[nodiscard]] proto::Network& network() noexcept { return network_; }
+  [[nodiscard]] Transport& transport() noexcept { return host_.transport(); }
+  [[nodiscard]] proto::Network& network() noexcept { return host_.network(); }
   [[nodiscard]] const proto::Client& client() const noexcept {
-    return *client_;
+    return host_.swarm().client(self_pid());
   }
   /// The obs registry backing the wire metrics (histogram p50/p99 for
   /// --metrics output).
   [[nodiscard]] const obs::Registry& registry() const noexcept {
-    return registry_;
+    return host_.swarm().registry(0);
   }
 
   /// One-line key=value stats in the same shape as ServeHost's.
   void write_stats(std::ostream& out, const LoadGenReport& report) const;
 
  private:
-  [[nodiscard]] double elapsed() const;
-  int step(int max_wait_ms);
+  [[nodiscard]] core::Pid self_pid() const noexcept {
+    return core::Pid{host_.local().lo};
+  }
   /// Pumps until `done()` or the wall deadline; returns done().
   bool pump_until(const std::function<bool()>& done, double deadline);
 
   LoadGenConfig cfg_;
-  sim::Engine engine_;
-  proto::Network network_;
-  util::CowStatus status_;
-  obs::Registry registry_;
-  obs::WireMetrics metrics_;
-  std::unique_ptr<Transport> transport_;
-  std::unique_ptr<proto::Peer> peer_;     ///< the client PID, reply funnel
-  std::unique_ptr<proto::Client> client_;
-  std::chrono::steady_clock::time_point t0_;
-  bool started_ = false;
+  Host host_;
 };
 
 }  // namespace lesslog::net

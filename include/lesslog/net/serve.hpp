@@ -1,33 +1,17 @@
 // ServeHost: one real process embodying one host-map entry's PID range,
 // running the unmodified proto::Peer stack over the socket transport.
 //
-// The splice is the Network forward hook (proto::Network::set_forward):
-// a peer's send whose destination PID lives in this process falls
-// through to the local discrete-event engine exactly as in the
-// simulator; a send to any other PID is taken by the hook and written
-// to the wire as its 43-byte image. Inbound frames are scheduled with
-// Network::deliver_at at the current engine time, so they enter the
-// same decode/dispatch funnel as simulated traffic — including the
-// counted corrupted-drop path for bytes that fail to decode.
-//
-// Time: the engine is pumped against the wall clock. Each step runs
-// every event with timestamp < elapsed wall seconds, then blocks in
-// epoll until the next timer or socket activity. Simulated seconds and
-// wall seconds coincide, so peer retransmit timers, client timeouts,
-// and latency accounting work unmodified; the simulator remains the
-// deterministic twin of the same configuration (see docs/TRANSPORT.md).
+// Everything but the serve loop lives in net::Host (host.hpp): the S = 1
+// proto::ShardedSwarm built for this entry's PIDs, the Transport, the
+// forward-hook/frame-handler splice, and the wall-clock pump. ServeHost
+// adds the serve-role check, the run-until-duration loop, and its stats
+// line.
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <memory>
 #include <ostream>
 
-#include "lesslog/net/transport.hpp"
-#include "lesslog/proto/network.hpp"
-#include "lesslog/proto/peer.hpp"
-#include "lesslog/sim/engine.hpp"
-#include "lesslog/util/status_word.hpp"
+#include "lesslog/net/host.hpp"
 
 namespace lesslog::net {
 
@@ -50,30 +34,18 @@ class ServeHost {
  public:
   explicit ServeHost(ServeConfig cfg);
 
-  /// Binds the listener, starts outgoing connects, attaches the local
-  /// peers, installs the forward hook. Idempotent.
-  void start();
+  /// Binds the listener, starts outgoing connects, installs the splice.
+  /// Idempotent.
+  void start() { host_.start(); }
 
   /// Wall-clock pump until the configured duration elapses (or stop()).
   void run();
 
-  /// One pump iteration: run due engine events, then block in epoll for
-  /// at most `max_wait_ms`. Tests drive this directly.
-  int step(int max_wait_ms);
-
   void stop() noexcept { stopped_ = true; }
 
-  [[nodiscard]] bool owns(core::Pid pid) const noexcept {
-    return pid.value() >= cfg_.hosts.entry(cfg_.self).lo &&
-           pid.value() <= cfg_.hosts.entry(cfg_.self).hi;
-  }
-
-  [[nodiscard]] Transport& transport() noexcept { return *transport_; }
-  [[nodiscard]] proto::Network& network() noexcept { return network_; }
-  [[nodiscard]] sim::Engine& engine() noexcept { return engine_; }
+  [[nodiscard]] Transport& transport() noexcept { return host_.transport(); }
+  [[nodiscard]] proto::Network& network() noexcept { return host_.network(); }
   [[nodiscard]] const ServeConfig& config() const noexcept { return cfg_; }
-  /// Wall seconds since run()/start().
-  [[nodiscard]] double elapsed() const;
 
   /// One-line key=value stats (decode drops, frames, queue overflow) —
   /// what the transport_smoke gate parses.
@@ -81,13 +53,7 @@ class ServeHost {
 
  private:
   ServeConfig cfg_;
-  sim::Engine engine_;
-  proto::Network network_;
-  util::CowStatus status_;
-  std::unique_ptr<Transport> transport_;
-  std::vector<std::unique_ptr<proto::Peer>> peers_;  ///< local PIDs only
-  std::chrono::steady_clock::time_point t0_;
-  bool started_ = false;
+  Host host_;
   /// Atomic so a controlling thread can stop() a run()-ing host.
   std::atomic<bool> stopped_ = false;
 };

@@ -64,14 +64,10 @@ class Peer {
 
   /// A peer with the given PID in an m-bit ID space with b fault bits.
   /// `initial_status` seeds the local liveness view (a joining node gets
-  /// it from a neighbor, Section 5.1).
-  Peer(core::Pid pid, int b, util::StatusWord initial_status,
-       Network& network, PeerConfig cfg = {});
-
-  /// Same, seeding the liveness view from a copy-on-write handle. Swarm
-  /// construction hands every peer one shared snapshot instead of 2^m
-  /// distinct 2^m-bit copies; a peer's view silently diverges onto its own
-  /// copy the first time a membership announcement mutates it.
+  /// it from a neighbor, Section 5.1). Swarm construction hands every
+  /// peer one shared copy-on-write snapshot instead of 2^m distinct
+  /// 2^m-bit copies; a peer's view silently diverges onto its own copy
+  /// the first time a membership announcement mutates it.
   Peer(core::Pid pid, int b, util::CowStatus initial_status,
        Network& network, PeerConfig cfg = {});
 

@@ -1,14 +1,19 @@
 // ShardedSwarm — a whole message-driven LessLog deployment in one object.
 //
-// Owns the event engine(s), the network(s), one Peer per live PID, and
-// one colocated Client per peer. Provides the data-plane operations of
-// the paper as asynchronous protocol exchanges (insert / get / update /
-// replicate / membership announcements) plus helpers to drive the
-// simulation and collect latency statistics. This is the layer the
-// latency/overhead benches, the chaos driver and the protocol example
-// run on; the direct-call core::System remains the convenient API for
-// logic-level work (its routing decisions and this layer's are verified
-// against each other in tests/integration/).
+// Owns the event engine(s), the network(s), the ground-truth liveness
+// word, one Peer per local PID, and one colocated Client per peer.
+// Provides the data-plane operations of the paper as asynchronous
+// protocol exchanges (insert / get / update / replicate / membership
+// announcements) plus helpers to drive the simulation and collect
+// latency statistics. This is the layer the latency/overhead benches,
+// the chaos driver and the protocol example run on; the direct-call
+// core::System remains the convenient API for logic-level work (its
+// routing decisions and this layer's are verified against each other in
+// tests/integration/).
+//
+// It is the only place a deployment is assembled: the simulator and the
+// wire processes (net::Host, S = 1, local PIDs = its host-map range) both
+// go through the deployment constructor.
 //
 // Peers are partitioned across S shards (Config::shards, default 1) by a
 // ShardMap policy (contiguous PID ranges, or the XOR-subtree locality
@@ -79,12 +84,26 @@ class ShardedSwarm {
     std::optional<Geography> geo;
   };
 
-  /// Throws std::invalid_argument when shards exceeds the ID space, or
-  /// when shards > 1 and the pairwise cross-shard latency floor is not
+  struct PidRange {  ///< [lo, hi)
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+  };
+
+  /// The simulator's deployment: live = local = [0, nodes). Throws
+  /// std::invalid_argument when shards exceeds the ID space, or when
+  /// shards > 1 and the pairwise cross-shard latency floor is not
   /// strictly positive for every pair (base_latency == 0 with no
   /// geographic separation between shard regions) — the adaptive
   /// lookahead has no conservative window to schedule then.
   explicit ShardedSwarm(Config cfg);
+
+  /// The deployment constructor: ground truth is `live` (cfg.nodes is
+  /// ignored); a peer and its client are built for every PID in `local`,
+  /// live or not (a loadgen's dead client PID), and for no other. Start
+  /// data-plane operations at local PIDs only; membership operations
+  /// assume every live PID is local. Also throws std::invalid_argument
+  /// when `live` is not m bits wide or `local` leaves the ID space.
+  ShardedSwarm(Config cfg, util::StatusWord live, PidRange local);
 
   // The forward/drain hooks capture `this`; the object is pinned.
   ShardedSwarm(const ShardedSwarm&) = delete;
@@ -124,8 +143,21 @@ class ShardedSwarm {
   [[nodiscard]] const obs::WireMetrics& metrics(std::size_t s) const {
     return shards_[s]->metrics;
   }
+  [[nodiscard]] const obs::Registry& registry(std::size_t s) const {
+    return shards_[s]->registry;
+  }
+  /// False for a PID outside the deployment's local range.
+  [[nodiscard]] bool has_peer(core::Pid p) const noexcept {
+    return peers_[p.value()] != nullptr;
+  }
   [[nodiscard]] Peer& peer(core::Pid p) { return *peers_[p.value()]; }
+  [[nodiscard]] const Peer& peer(core::Pid p) const {
+    return *peers_[p.value()];
+  }
   [[nodiscard]] Client& client(core::Pid p) { return *clients_[p.value()]; }
+  [[nodiscard]] const Client& client(core::Pid p) const {
+    return *clients_[p.value()];
+  }
   [[nodiscard]] const util::StatusWord& status() const noexcept {
     return status_.read();
   }
@@ -303,8 +335,12 @@ class ShardedSwarm {
     double floor = 0.0;        ///< min off-diagonal entry
   };
   [[nodiscard]] static Plan make_plan(const Config& cfg);
-  ShardedSwarm(Config cfg, Plan plan);
+  ShardedSwarm(Config cfg, Plan plan, util::StatusWord live,
+               PidRange local);
 
+  /// One Network counter summed over shards.
+  [[nodiscard]] std::int64_t net_total(
+      std::int64_t (Network::*counter)() const noexcept) const noexcept;
   [[nodiscard]] Shard& home(core::Pid p) {
     return *shards_[router_.shard_of(p)];
   }

@@ -7,8 +7,8 @@
 // the only writers.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -87,39 +87,65 @@ class StatusWord {
 /// is unchanged: read() always returns the same bits the by-value copy
 /// would hold.
 ///
-/// Thread-safety matches shared_ptr: concurrent reads of a shared snapshot
-/// are safe, and a clone never writes the shared object. The in-place write
-/// on use_count() == 1 is safe because a uniquely-owned snapshot has, by
-/// definition, no other reader. (Handles are created/copied only during
-/// swarm construction, never inside a parallel window.)
+/// Thread-safety: snapshots of one word may live on different shard
+/// workers. Concurrent reads are safe and a clone never writes the shared
+/// object. The handle keeps its own reference count, because the
+/// uniqueness check in mutate() must be an acquire load (use_count() of a
+/// shared_ptr is relaxed): a sole owner then happens-after every read made
+/// through a handle another thread has since dropped.
 class CowStatus {
  public:
   /// Owning handle over a fresh copy of `w` (no sharing).
-  explicit CowStatus(StatusWord w)
-      : ptr_(std::make_shared<StatusWord>(std::move(w))) {}
+  explicit CowStatus(StatusWord w) : block_(new Block{std::move(w)}) {}
 
-  /// Aliasing handle over a shared snapshot.
-  explicit CowStatus(std::shared_ptr<StatusWord> shared)
-      : ptr_(std::move(shared)) {}
+  CowStatus(const CowStatus& other) noexcept : block_(other.block_) {
+    if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  CowStatus(CowStatus&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  CowStatus& operator=(CowStatus other) noexcept {
+    std::swap(block_, other.block_);
+    return *this;
+  }
+  ~CowStatus() { release(); }
 
-  [[nodiscard]] const StatusWord& read() const noexcept { return *ptr_; }
+  [[nodiscard]] const StatusWord& read() const noexcept {
+    return block_->word;
+  }
 
   /// Mutable access; clones the snapshot iff it is shared.
   [[nodiscard]] StatusWord& mutate() {
-    if (ptr_.use_count() != 1) ptr_ = std::make_shared<StatusWord>(*ptr_);
-    return *ptr_;
+    if (block_->refs.load(std::memory_order_acquire) != 1) {
+      Block* fresh = new Block{block_->word};
+      release();
+      block_ = fresh;
+    }
+    return block_->word;
   }
 
   /// Replace the contents wholesale (rejoin resets to a caller snapshot).
-  void assign(StatusWord w) { ptr_ = std::make_shared<StatusWord>(std::move(w)); }
+  void assign(StatusWord w) { *this = CowStatus(std::move(w)); }
 
   /// O(1) snapshot of the current contents — the cheap spelling of
   /// `StatusWord before = status;` on the announcement path. The snapshot
   /// keeps the current bits alive even if this handle mutates afterwards.
-  [[nodiscard]] CowStatus snapshot() const noexcept { return CowStatus(ptr_); }
+  [[nodiscard]] CowStatus snapshot() const noexcept { return *this; }
 
  private:
-  std::shared_ptr<StatusWord> ptr_;
+  struct Block {
+    explicit Block(StatusWord w) : word(std::move(w)) {}
+    std::atomic<std::uint32_t> refs{1};
+    StatusWord word;
+  };
+
+  void release() noexcept {
+    if (block_ != nullptr &&
+        block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete block_;
+    }
+  }
+
+  Block* block_;
 };
 
 }  // namespace lesslog::util

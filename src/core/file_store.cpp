@@ -102,6 +102,12 @@ std::optional<std::uint64_t> FileStore::serve(FileId f) {
 void FileStore::put_inserted(FileId f, std::uint64_t version,
                              std::vector<std::uint8_t> data) {
   if (CopyInfo* c = lookup(f)) {
+    // Newest version wins: an older copy (a crash-era repair push) still
+    // promotes the entry but keeps the stored version and bytes.
+    if (version < c->version) {
+      version = c->version;
+      data = std::move(c->data);
+    }
     *c = CopyInfo{CopyKind::kInserted, version, 0, std::move(data)};
     return;
   }
@@ -149,6 +155,8 @@ bool FileStore::apply_update(FileId f, std::uint64_t version,
                              std::vector<std::uint8_t> data) {
   CopyInfo* c = lookup(f);
   if (c == nullptr) return false;
+  // Out of order: keep the newer copy (present, so the push continues).
+  if (version < c->version) return true;
   c->version = version;
   if (!data.empty()) c->data = std::move(data);
   return true;

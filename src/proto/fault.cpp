@@ -272,15 +272,6 @@ double FaultInjector::jitter(double magnitude) {
   return magnitude > 0.0 ? rng_.uniform01() * magnitude : 0.0;
 }
 
-bool FaultInjector::partition_active() const noexcept {
-  for (std::size_t i = 0; i < plan_.rules.size(); ++i) {
-    if (active_[i] && plan_.rules[i].kind == FaultKind::kPartition) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool FaultInjector::reachable(core::Pid a, core::Pid b) const {
   for (std::size_t i = 0; i < plan_.rules.size(); ++i) {
     if (!active_[i]) continue;

@@ -43,11 +43,6 @@ void PeerConfig::validate() const {
   }
 }
 
-Peer::Peer(core::Pid pid, int b, util::StatusWord initial_status,
-           Network& network, PeerConfig cfg)
-    : Peer(pid, b, util::CowStatus(std::move(initial_status)), network,
-           cfg) {}
-
 Peer::Peer(core::Pid pid, int b, util::CowStatus initial_status,
            Network& network, PeerConfig cfg)
     : pid_(pid), b_(b), view_(&oracle_),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "lesslog/core/replication.hpp"
@@ -110,15 +111,28 @@ ShardedSwarm::Plan ShardedSwarm::make_plan(const Config& cfg) {
 }
 
 ShardedSwarm::ShardedSwarm(Config cfg)
-    : ShardedSwarm(cfg, make_plan(cfg)) {}
+    : ShardedSwarm(cfg, util::StatusWord(cfg.m, cfg.nodes),
+                   PidRange{0, cfg.nodes}) {}
 
-ShardedSwarm::ShardedSwarm(Config cfg, Plan plan)
+ShardedSwarm::ShardedSwarm(Config cfg, util::StatusWord live,
+                           PidRange local)
+    : ShardedSwarm(cfg, make_plan(cfg), std::move(live), local) {}
+
+ShardedSwarm::ShardedSwarm(Config cfg, Plan plan, util::StatusWord live,
+                           PidRange local)
     : cfg_(cfg),
-      status_(util::StatusWord(cfg.m)),
+      status_(std::move(live)),
       engines_(cfg.shards, cfg.seed,
                cfg.shards > 1 ? plan.floor : cfg.net.base_latency),
       router_(plan.map) {
-  assert(cfg_.nodes <= util::space_size(cfg_.m));
+  if (status_.read().width() != cfg_.m) {
+    throw std::invalid_argument(
+        "ShardedSwarm: the liveness word must be m bits wide");
+  }
+  if (local.lo > local.hi || local.hi > util::space_size(cfg_.m)) {
+    throw std::invalid_argument(
+        "ShardedSwarm: the local PID range must lie inside [0, 2^m)");
+  }
   if (cfg_.shards > 1) {
     engines_.set_pair_lookahead(plan.pair);
   }
@@ -150,9 +164,6 @@ ShardedSwarm::ShardedSwarm(Config cfg, Plan plan)
       router_.drain_into(s, shards_[s]->network);
     });
   }
-  for (std::uint32_t p = 0; p < cfg_.nodes; ++p) {
-    status_.mutate().set_live(p);  // sole owner here: never clones
-  }
   peers_.resize(util::space_size(cfg_.m));
   clients_.resize(util::space_size(cfg_.m));
   auto_replicas_by_shard_.assign(cfg_.shards, 0);
@@ -160,7 +171,7 @@ ShardedSwarm::ShardedSwarm(Config cfg, Plan plan)
   // One shared copy-on-write snapshot for the whole construction batch:
   // at m=16 this replaces 2^16 distinct 8 KiB status words (512 MiB) with
   // a single word that peers alias until their views diverge.
-  for (std::uint32_t p = 0; p < cfg_.nodes; ++p) {
+  for (std::uint32_t p = local.lo; p < local.hi; ++p) {
     make_peer(core::Pid{p}, status_.snapshot());
   }
 }
@@ -293,12 +304,8 @@ void ShardedSwarm::depart(core::Pid p) {
 }
 
 void ShardedSwarm::crash(core::Pid p) {
-  assert(status_.read().is_live(p.value()));
-  peers_[p.value()]->detach();
-  status_.mutate().set_dead(p.value());
+  crash_unannounced(p);
   broadcast_status(p, /*live=*/false);
-  home(p).network.notify_peer_event(engines_.shard(shard_of(p)).now(), p,
-                                    /*live=*/false);
 }
 
 void ShardedSwarm::restart(core::Pid p) {
@@ -386,15 +393,13 @@ void ShardedSwarm::auto_replication_tick(std::size_t s, double capacity,
 }
 
 std::int64_t ShardedSwarm::auto_replicas() const noexcept {
-  std::int64_t total = 0;
-  for (const std::int64_t v : auto_replicas_by_shard_) total += v;
-  return total;
+  return std::accumulate(auto_replicas_by_shard_.begin(),
+                         auto_replicas_by_shard_.end(), std::int64_t{0});
 }
 
 std::int64_t ShardedSwarm::auto_removals() const noexcept {
-  std::int64_t total = 0;
-  for (const std::int64_t v : auto_removals_by_shard_) total += v;
-  return total;
+  return std::accumulate(auto_removals_by_shard_.begin(),
+                         auto_removals_by_shard_.end(), std::int64_t{0});
 }
 
 void ShardedSwarm::enable_metrics_sampling(double interval,
@@ -476,40 +481,30 @@ ReliabilityLedger ShardedSwarm::reliability_ledger() const {
   return total;
 }
 
+std::int64_t ShardedSwarm::net_total(
+    std::int64_t (Network::*counter)() const noexcept) const noexcept {
+  std::int64_t total = 0;
+  for (const auto& s : shards_) total += (s->network.*counter)();
+  return total;
+}
+
 std::int64_t ShardedSwarm::messages_sent() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& s : shards_) total += s->network.messages_sent();
-  return total;
+  return net_total(&Network::messages_sent);
 }
-
 std::int64_t ShardedSwarm::bytes_sent() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& s : shards_) total += s->network.bytes_sent();
-  return total;
+  return net_total(&Network::bytes_sent);
 }
-
 std::int64_t ShardedSwarm::delivered() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& s : shards_) total += s->network.delivered();
-  return total;
+  return net_total(&Network::delivered);
 }
-
 std::int64_t ShardedSwarm::undeliverable() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& s : shards_) total += s->network.undeliverable();
-  return total;
+  return net_total(&Network::undeliverable);
 }
-
 std::int64_t ShardedSwarm::dropped() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& s : shards_) total += s->network.dropped();
-  return total;
+  return net_total(&Network::dropped);
 }
-
 std::int64_t ShardedSwarm::corrupted() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& s : shards_) total += s->network.corrupted();
-  return total;
+  return net_total(&Network::corrupted);
 }
 
 double ShardedSwarm::cross_shard_fraction() const noexcept {

@@ -55,6 +55,32 @@ TEST(FileStore, ApplyUpdateBumpsVersionOnlyIfPresent) {
   EXPECT_EQ(store.info(FileId{3})->version, 9u);
 }
 
+TEST(FileStore, ApplyUpdateNeverRollsBack) {
+  FileStore store;
+  store.put_inserted(FileId{3}, 1);
+  EXPECT_TRUE(store.apply_update(FileId{3}, 5, {5}));
+  // Out of order: the older update finds the copy but leaves it alone.
+  EXPECT_TRUE(store.apply_update(FileId{3}, 4, {4}));
+  EXPECT_EQ(store.info(FileId{3})->version, 5u);
+  EXPECT_EQ(*store.payload(FileId{3}), std::vector<std::uint8_t>{5});
+  // An equal version is idempotent.
+  EXPECT_TRUE(store.apply_update(FileId{3}, 5, {5}));
+  EXPECT_EQ(store.info(FileId{3})->version, 5u);
+  EXPECT_EQ(*store.payload(FileId{3}), std::vector<std::uint8_t>{5});
+}
+
+TEST(FileStore, ReinsertOfOlderCopyKeepsNewerVersion) {
+  FileStore store;
+  store.put_replica(FileId{8}, 6, {6});
+  store.put_inserted(FileId{8}, 2, {2});
+  const CopyInfo info = store.info(FileId{8}).value();
+  EXPECT_EQ(info.kind, CopyKind::kInserted);  // still promoted
+  EXPECT_EQ(info.version, 6u);
+  EXPECT_EQ(info.data, std::vector<std::uint8_t>{6});
+  store.put_inserted(FileId{8}, 7, {7});
+  EXPECT_EQ(store.info(FileId{8})->version, 7u);
+}
+
 TEST(FileStore, AccessCountingAndReset) {
   FileStore store;
   store.put_replica(FileId{4});

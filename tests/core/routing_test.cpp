@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "lesslog/util/rng.hpp"
 
@@ -125,12 +126,17 @@ TEST(RouteGet, StandInRequesterServesItself) {
   EXPECT_EQ(r.hops(), 0);
 }
 
+// gtest names each case by dumping the parameter's bytes, so the struct
+// must have no padding (padding bytes hold leftover memory, and the case
+// names would change from run to run). `dead` is 64-bit for that reason
+// alone.
 struct RoutingCase {
   int m;
   std::uint32_t root;
   std::uint64_t seed;
-  std::uint32_t dead;
+  std::uint64_t dead;
 };
+static_assert(std::has_unique_object_representations_v<RoutingCase>);
 
 class RoutingSweep : public ::testing::TestWithParam<RoutingCase> {};
 
@@ -141,8 +147,8 @@ TEST_P(RoutingSweep, EveryLiveNodeReachesTheFile) {
   const LookupTree tree(m, Pid{root});
   util::StatusWord live = all_live(m);
   util::Rng rng(seed);
-  for (std::uint32_t dead : rng.sample_indices(util::space_size(m),
-                                               dead_count)) {
+  for (std::uint32_t dead : rng.sample_indices(
+           util::space_size(m), static_cast<std::uint32_t>(dead_count))) {
     live.set_dead(dead);
   }
   const std::optional<Pid> holder = insertion_target(tree, live);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "lesslog/core/membership.hpp"
 #include "lesslog/core/system.hpp"
@@ -15,14 +16,19 @@ namespace {
 using core::FileId;
 using core::Pid;
 
+// gtest names each case by dumping the parameter's bytes, so the struct
+// must have no padding (padding bytes hold leftover memory, and the case
+// names would change from run to run). `churn_steps` is 64-bit for that
+// reason alone.
 struct Scenario {
   int m;
   int b;
   std::uint64_t seed;
   std::uint32_t initial_nodes;
   std::uint32_t files;
-  int churn_steps;
+  std::int64_t churn_steps;
 };
+static_assert(std::has_unique_object_representations_v<Scenario>);
 
 class InvariantSweep : public ::testing::TestWithParam<Scenario> {
  protected:

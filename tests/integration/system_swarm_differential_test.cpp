@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "lesslog/core/system.hpp"
 #include "lesslog/proto/sharded_swarm.hpp"
@@ -17,18 +18,24 @@ namespace {
 using core::FileId;
 using core::Pid;
 
+// gtest names each case by dumping the parameter's bytes, so the struct
+// must have no padding (padding bytes hold leftover memory, and the case
+// names would change from run to run). `nodes` and `ops` are 64-bit for
+// that reason alone.
 struct DiffCase {
   int m;
   int b;
-  std::uint32_t nodes;
+  std::uint64_t nodes;
   std::uint64_t seed;
-  int ops;
+  std::int64_t ops;
 };
+static_assert(std::has_unique_object_representations_v<DiffCase>);
 
 class SystemSwarmDifferential : public ::testing::TestWithParam<DiffCase> {};
 
 TEST_P(SystemSwarmDifferential, IdenticalOperationSequencesConverge) {
-  const auto [m, b, nodes, seed, ops] = GetParam();
+  const auto [m, b, wide_nodes, seed, ops] = GetParam();
+  const auto nodes = static_cast<std::uint32_t>(wide_nodes);
 
   core::System sys({.m = m, .b = b, .seed = seed});
   sys.bootstrap(nodes);

@@ -5,7 +5,10 @@
 // acked, every GET ok, zero decode drops.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "lesslog/net/loadgen.hpp"
 #include "lesslog/net/serve.hpp"
@@ -99,6 +102,64 @@ TEST(LoadGenReport, PercentilesUseThePercentScale) {
   EXPECT_NEAR(report.p99(), 0.09901, 1e-12);
   EXPECT_EQ(LoadGenReport{}.p50(), 0.0);
   EXPECT_EQ(LoadGenReport{}.p99(), 0.0);
+}
+
+/// The keys of one `key=value` stats line, in order.
+std::vector<std::string> stats_keys(const std::string& line) {
+  std::vector<std::string> keys;
+  std::istringstream in(line);
+  std::string kv;
+  while (in >> kv) keys.push_back(kv.substr(0, kv.find('=')));
+  return keys;
+}
+
+// Both stats lines are parsed by key (the transport_smoke gate and the
+// wire_loopback perf harness); their key sets are part of the interface.
+TEST(ServeHostStats, KeySetIsPinned) {
+  ServeConfig cfg;
+  cfg.m = 6;
+  cfg.b = 2;
+  cfg.hosts = ephemeral_map();
+  cfg.self = 1;
+  const ServeHost host(std::move(cfg));
+  std::ostringstream out;
+  host.write_stats(out);
+  const std::string line = out.str();
+  ASSERT_FALSE(line.empty());
+  EXPECT_EQ(line.back(), '\n');
+  EXPECT_EQ(stats_keys(line),
+            (std::vector<std::string>{
+                "decode_drops", "delivered", "undeliverable", "frames_in",
+                "frames_out", "bytes_in", "bytes_out", "overflow_dropped",
+                "unroutable_dropped", "accepts", "connects", "reconnects",
+                "disconnects", "served"}));
+  EXPECT_NE(line.find("decode_drops=0 "), std::string::npos);
+  EXPECT_NE(line.find("served=0\n"), std::string::npos);
+}
+
+TEST(LoadGenStats, KeySetIsPinned) {
+  LoadGenConfig cfg;
+  cfg.m = 6;
+  cfg.b = 2;
+  cfg.hosts = ephemeral_map();
+  cfg.self = 2;
+  const LoadGen gen(std::move(cfg));
+  LoadGenReport report;
+  report.files_requested = 4;
+  report.files_inserted = 3;
+  std::ostringstream out;
+  gen.write_stats(out, report);
+  const std::string line = out.str();
+  ASSERT_FALSE(line.empty());
+  EXPECT_EQ(line.back(), '\n');
+  EXPECT_EQ(stats_keys(line),
+            (std::vector<std::string>{
+                "files_inserted", "gets_issued", "gets_ok", "gets_failed",
+                "p50_ms", "p99_ms", "decode_drops", "delivered",
+                "frames_in", "frames_out", "overflow_dropped",
+                "unroutable_dropped", "reconnects", "faults"}));
+  EXPECT_NE(line.find("files_inserted=3/4 "), std::string::npos);
+  EXPECT_NE(line.find("gets_failed=0 "), std::string::npos);
 }
 
 TEST(ServeConfigValidation, RejectsNonsense) {

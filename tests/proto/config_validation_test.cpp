@@ -216,7 +216,7 @@ TEST(ClientConfigValidation, RejectsNanBusyBackoff) {
 TEST(ClientConfigValidation, ConstructorRejectsBadConfig) {
   sim::Engine engine(1);
   Network net(engine, {});
-  Peer peer(core::Pid{0}, 0, util::StatusWord(4, 1), net);
+  Peer peer(core::Pid{0}, 0, util::CowStatus(util::StatusWord(4, 1)), net);
   ClientConfig cfg;
   cfg.timeout = -1.0;
   EXPECT_THROW(Client(peer, net, cfg), std::invalid_argument);
@@ -225,7 +225,7 @@ TEST(ClientConfigValidation, ConstructorRejectsBadConfig) {
 TEST(ClientConfigValidation, ConstructorRejectsBadAdaptiveKnobs) {
   sim::Engine engine(1);
   Network net(engine, {});
-  Peer peer(core::Pid{0}, 0, util::StatusWord(4, 1), net);
+  Peer peer(core::Pid{0}, 0, util::CowStatus(util::StatusWord(4, 1)), net);
   ClientConfig cfg;
   cfg.adaptive = true;
   cfg.rto_floor = -0.01;
@@ -323,7 +323,8 @@ TEST(PeerConfigValidation, ConstructorRejectsBadConfig) {
   PeerConfig cfg;
   cfg.busy_budget = 2;  // positive budget, zero refill
   EXPECT_THROW(
-      Peer(core::Pid{0}, 0, util::StatusWord(4, 1), net, cfg),
+      Peer(core::Pid{0}, 0, util::CowStatus(util::StatusWord(4, 1)), net,
+           cfg),
       std::invalid_argument);
 }
 

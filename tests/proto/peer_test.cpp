@@ -137,6 +137,62 @@ TEST(PeerProtocol, UpdatePushReachesSameSetAsCorePropagation) {
   EXPECT_EQ(expected_set, copies);  // LessLog placements stay connected
 }
 
+/// Delivers `m` as a wire frame at the shard's current time, as an
+/// inbound socket frame or a late datagram would arrive.
+void deliver_frame(ShardedSwarm& swarm, const Message& m) {
+  WireBuffer wire{};
+  encode_into(m, wire);
+  swarm.network(0).deliver_at(swarm.engine(0).now(), wire);
+}
+
+TEST(PeerProtocol, OutOfOrderUpdatePushesNeverRollBack) {
+  ShardedSwarm swarm(lossless(5, 0, 32, 3));
+  const Pid target{20};
+  const FileId f{71};
+  swarm.insert(f, target, Pid{3});
+  swarm.settle();
+  ASSERT_TRUE(swarm.peer(target).store().has(f));
+
+  Message push;
+  push.type = MsgType::kUpdatePush;
+  push.from = Pid{3};
+  push.to = target;
+  push.requester = Pid{3};
+  push.subject = target;
+  push.file = f;
+  push.version = 2;
+  deliver_frame(swarm, push);
+  push.version = 1;  // the older push overtaken on the wire
+  deliver_frame(swarm, push);
+  swarm.settle();
+  EXPECT_EQ(swarm.peer(target).store().info(f)->version, 2u);
+}
+
+TEST(PeerProtocol, CrashEraRepairPushNeverRollsBack) {
+  ShardedSwarm swarm(lossless(5, 1, 32, 4));
+  const Pid target{9};
+  const FileId f{72};
+  swarm.insert(f, target, Pid{1});
+  swarm.settle();
+  swarm.update(f, target, /*version=*/3, Pid{1});
+  swarm.settle();
+  ASSERT_EQ(swarm.peer(target).store().info(f)->version, 3u);
+
+  // A survivor re-inserts the copy it held before the update reached it.
+  Message repair;
+  repair.type = MsgType::kFilePush;
+  repair.from = Pid{25};
+  repair.to = target;
+  repair.requester = Pid{25};
+  repair.subject = target;
+  repair.file = f;
+  repair.version = 1;
+  repair.request_id = 1;
+  deliver_frame(swarm, repair);
+  swarm.settle();
+  EXPECT_EQ(swarm.peer(target).store().info(f)->version, 3u);
+}
+
 TEST(PeerProtocol, FaultToleranceMigratesAcrossSubtrees) {
   ShardedSwarm swarm(lossless(6, 2, 64, 11));
   const Pid target{40};

@@ -125,17 +125,17 @@ TEST(StatusWord, SubWordWidthKeepsHighBitsZero) {
 }
 
 TEST(CowStatus, SharedSnapshotAliasesUntilMutation) {
-  auto base = std::make_shared<StatusWord>(6, 40u);
-  CowStatus a{std::shared_ptr<StatusWord>(base)};
-  CowStatus b{std::shared_ptr<StatusWord>(base)};
-  EXPECT_EQ(&a.read(), base.get());
-  EXPECT_EQ(&b.read(), base.get());
+  const CowStatus base{StatusWord(6, 40u)};
+  CowStatus a = base.snapshot();
+  CowStatus b = base.snapshot();
+  EXPECT_EQ(&a.read(), &base.read());
+  EXPECT_EQ(&b.read(), &base.read());
   a.mutate().set_dead(7);
-  EXPECT_NE(&a.read(), base.get());  // a diverged onto its own copy
-  EXPECT_EQ(&b.read(), base.get());  // b still aliases the snapshot
+  EXPECT_NE(&a.read(), &base.read());  // a diverged onto its own copy
+  EXPECT_EQ(&b.read(), &base.read());  // b still aliases the snapshot
   EXPECT_FALSE(a.read().is_live(7));
   EXPECT_TRUE(b.read().is_live(7));
-  EXPECT_EQ(base->live_count(), 40u);
+  EXPECT_EQ(base.read().live_count(), 40u);
 }
 
 TEST(CowStatus, UniqueOwnerMutatesInPlace) {
@@ -155,11 +155,24 @@ TEST(CowStatus, SnapshotPreservesOldBitsAcrossMutation) {
 }
 
 TEST(CowStatus, AssignReplacesContents) {
-  auto base = std::make_shared<StatusWord>(4, 16u);
-  CowStatus a{std::shared_ptr<StatusWord>(base)};
+  const CowStatus base{StatusWord(4, 16u)};
+  CowStatus a = base.snapshot();
   a.assign(StatusWord(4, 2u));
   EXPECT_EQ(a.read().live_count(), 2u);
-  EXPECT_EQ(base->live_count(), 16u);
+  EXPECT_EQ(base.read().live_count(), 16u);
+}
+
+TEST(CowStatus, LastHandleLeftMutatesInPlace) {
+  CowStatus a{StatusWord(5, 10u)};
+  const StatusWord* shared = &a.read();
+  {
+    const CowStatus other = a.snapshot();
+    EXPECT_EQ(&other.read(), shared);
+  }
+  // The other handle is gone: a is the sole owner again, so no clone.
+  a.mutate().set_dead(4);
+  EXPECT_EQ(&a.read(), shared);
+  EXPECT_FALSE(a.read().is_live(4));
 }
 
 }  // namespace

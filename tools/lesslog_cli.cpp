@@ -35,10 +35,10 @@
 #include <charconv>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 
+#include "flags.hpp"
 #include "lesslog/baseline/policy.hpp"
 #include "lesslog/chaos/driver.hpp"
 #include "lesslog/chaos/replay.hpp"
@@ -55,42 +55,7 @@
 namespace {
 
 using namespace lesslog;
-
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0 || i + 1 >= argc) {
-        throw std::runtime_error("expected --flag value pairs, got: " + key);
-      }
-      values_[key.substr(2)] = argv[++i];
-    }
-  }
-
-  [[nodiscard]] double get(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-
-  [[nodiscard]] int get(const std::string& key, int fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoi(it->second);
-  }
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  [[nodiscard]] bool has(const std::string& key) const {
-    return values_.contains(key);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Flags;
 
 sim::PlacementFn policy_by_name(const std::string& name) {
   if (name == "lesslog") return baseline::lesslog_policy();

@@ -15,51 +15,15 @@
 // was acked and every GET came back ok — the transport_smoke gate.
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <stdexcept>
 #include <string>
 
+#include "flags.hpp"
 #include "lesslog/net/loadgen.hpp"
 
 namespace {
 
 using namespace lesslog;
-
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0 || i + 1 >= argc) {
-        throw std::runtime_error("expected --flag value pairs, got: " + key);
-      }
-      values_[key.substr(2)] = argv[++i];
-    }
-  }
-
-  [[nodiscard]] double get(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-
-  [[nodiscard]] int get(const std::string& key, int fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoi(it->second);
-  }
-
-  [[nodiscard]] std::string get(const std::string& key,
-                                const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  [[nodiscard]] bool has(const std::string& key) const {
-    return values_.contains(key);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Flags;
 
 }  // namespace
 
